@@ -14,8 +14,6 @@ from .core import (
     build_witness_completion,
     compute_delta,
     count_super_blocking_pairs,
-    is_obvious_blocking_pair,
-    is_super_blocking_pair,
     is_super_stable,
     is_weakly_stable,
     obvious_blocking_pairs,

@@ -55,13 +55,6 @@ class TierList:
         """Pairwise comparisons the order leaves unspecified."""
         return sum(math.comb(len(t), 2) for t in self.tiers)
 
-    def ranks(self, n: int) -> tuple[int, ...]:
-        out = [0] * n
-        for r, tier in enumerate(self.tiers):
-            for x in tier:
-                out[x] = r
-        return tuple(out)
-
     def linear_orders(self) -> Iterator[tuple[int, ...]]:
         """All linear extensions; tier permutations in lexicographic order."""
         perms = [itertools.permutations(t) for t in self.tiers]
@@ -103,10 +96,10 @@ class Instance:
             tl.validate(n, f"woman {i + 1}")
         self.n = n
         self.men_rank: tuple[tuple[int, ...], ...] = tuple(
-            tl.ranks(n) for tl in self.men
+            tier_ranks(tl.tiers, n) for tl in self.men
         )
         self.women_rank: tuple[tuple[int, ...], ...] = tuple(
-            tl.ranks(n) for tl in self.women
+            tier_ranks(tl.tiers, n) for tl in self.women
         )
         self._delta: Fraction | None = None
 
@@ -217,8 +210,9 @@ class Completion:
                 if sorted(order) != list(range(n)):
                     raise ValidationError(f"{label} {i + 1}: not a permutation")
         self.n = n
-        self.men_rank = tuple(_order_ranks(o) for o in self.men_orders)
-        self.women_rank = tuple(_order_ranks(o) for o in self.women_orders)
+        # a strict order is a tier list of singletons, which zip(order) yields
+        self.men_rank = tuple(tier_ranks(zip(o), n) for o in self.men_orders)
+        self.women_rank = tuple(tier_ranks(zip(o), n) for o in self.women_orders)
 
     def refines(self, inst: Instance) -> bool:
         """True iff every strict comparison of ``inst`` is preserved."""
@@ -237,21 +231,7 @@ class Completion:
 
         An unmatched agent prefers every partner to staying single.
         """
-        matching.validate_for(self.n)
-        out = []
-        for m in range(self.n):
-            mr = self.men_rank[m]
-            pm = matching.woman_of(m)
-            for w in range(self.n):
-                if pm == w:
-                    continue
-                if pm is not None and mr[w] > mr[pm]:
-                    continue
-                pw = matching.man_of(w)
-                if pw is not None and self.women_rank[w][m] > self.women_rank[w][pw]:
-                    continue
-                out.append((m, w))
-        return out
+        return _blocking_pairs(self.men_rank, self.women_rank, matching, strict=False)
 
     def to_instance(self) -> Instance:
         return Instance(
@@ -270,10 +250,12 @@ class Completion:
         return hash((self.men_orders, self.women_orders))
 
 
-def _order_ranks(order: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(order)
-    for r, x in enumerate(order):
-        out[x] = r
+def tier_ranks(tiers: Iterable[Iterable[int]], n: int) -> tuple[int, ...]:
+    """Tier index of each of the n opposite-side agents, best tier first."""
+    out = [0] * n
+    for r, tier in enumerate(tiers):
+        for x in tier:
+            out[x] = r
     return tuple(out)
 
 
@@ -303,115 +285,59 @@ def compute_delta(inst: Instance) -> Fraction:
 # strictly (hence also weakly) prefers every partner to staying single.
 # ---------------------------------------------------------------------------
 
-def _check_pair_indices(inst: Instance, man: int, woman: int) -> None:
-    if not (0 <= man < inst.n and 0 <= woman < inst.n):
-        raise ValidationError(
-            f"pair ({man + 1}, {woman + 1}) out of range for n={inst.n}"
-        )
+def approvals(
+    ranks: Sequence[Sequence[int]],
+    partners: Sequence[int | None],
+    strict: bool = False,
+) -> list[list[int]]:
+    """For each agent, the opposite-side agents it prefers to its partner.
+
+    ``ranks[a]`` is agent a's rank table and ``partners[a]`` its partner or
+    None.  A candidate is approved when it is tied with the partner or
+    better, or only when strictly better with ``strict``; each list is
+    ascending.  Ranks are integers, so "strictly better" is "at least one
+    rank better".  This is the one comparison every blocking-pair scan uses.
+    """
+    out = []
+    for row, partner in zip(ranks, partners):
+        if partner is None:
+            bar = len(row)  # every rank is below n: anyone beats staying single
+        else:
+            bar = row[partner] - 1 if strict else row[partner]
+        out.append([x for x, r in enumerate(row) if r <= bar and x != partner])
+    return out
 
 
-def is_obvious_blocking_pair(
-    inst: Instance, matching: Matching, man: int, woman: int
-) -> bool:
-    """Both sides strictly prefer each other to their current partners."""
-    _check_pair_indices(inst, man, woman)
-    if (man, woman) in matching:
-        return False
-    pm = matching.woman_of(man)
-    if pm is not None and inst.men_rank[man][woman] >= inst.men_rank[man][pm]:
-        return False
-    pw = matching.man_of(woman)
-    if pw is not None and inst.women_rank[woman][man] >= inst.women_rank[woman][pw]:
-        return False
-    return True
-
-
-def is_super_blocking_pair(
-    inst: Instance, matching: Matching, man: int, woman: int
-) -> bool:
-    """Both sides strictly prefer or are incomparable between the other and
-    their current partner."""
-    _check_pair_indices(inst, man, woman)
-    if (man, woman) in matching:
-        return False
-    pm = matching.woman_of(man)
-    if pm is not None and inst.men_rank[man][woman] > inst.men_rank[man][pm]:
-        return False
-    pw = matching.man_of(woman)
-    if pw is not None and inst.women_rank[woman][man] > inst.women_rank[woman][pw]:
-        return False
-    return True
+def _blocking_pairs(
+    men_rank: Sequence[Sequence[int]],
+    women_rank: Sequence[Sequence[int]],
+    matching: Matching,
+    strict: bool,
+) -> list[tuple[int, int]]:
+    """Pairs whose members approve each other, in (man, woman) row-major order."""
+    n = len(men_rank)
+    matching.validate_for(n)
+    men = approvals(men_rank, [matching.woman_of(m) for m in range(n)], strict)
+    women = [
+        set(a)
+        for a in approvals(women_rank, [matching.man_of(w) for w in range(n)], strict)
+    ]
+    return [(m, w) for m, ws in enumerate(men) for w in ws if m in women[w]]
 
 
 def obvious_blocking_pairs(inst: Instance, matching: Matching) -> list[tuple[int, int]]:
-    matching.validate_for(inst.n)
-    n = inst.n
-    wrank = inst.women_rank
-    out = []
-    for m in range(n):
-        mr = inst.men_rank[m]
-        pm = matching.woman_of(m)
-        for w in range(n):
-            if pm == w:
-                continue
-            if pm is not None and mr[w] >= mr[pm]:
-                continue
-            pw = matching.man_of(w)
-            if pw is not None and wrank[w][m] >= wrank[w][pw]:
-                continue
-            out.append((m, w))
-    return out
+    """Both sides strictly prefer each other to their current partners."""
+    return _blocking_pairs(inst.men_rank, inst.women_rank, matching, strict=True)
 
 
 def super_blocking_pairs(inst: Instance, matching: Matching) -> list[tuple[int, int]]:
-    matching.validate_for(inst.n)
-    n = inst.n
-    wrank = inst.women_rank
-    out = []
-    for m in range(n):
-        mr = inst.men_rank[m]
-        pm = matching.woman_of(m)
-        for w in range(n):
-            if pm == w:
-                continue
-            if pm is not None and mr[w] > mr[pm]:
-                continue
-            pw = matching.man_of(w)
-            if pw is not None and wrank[w][m] > wrank[w][pw]:
-                continue
-            out.append((m, w))
-    return out
+    """Both sides strictly prefer or are incomparable between the other and
+    their current partner."""
+    return _blocking_pairs(inst.men_rank, inst.women_rank, matching, strict=False)
 
 
 def count_super_blocking_pairs(inst: Instance, matching: Matching) -> int:
     return len(super_blocking_pairs(inst, matching))
-
-
-def has_at_least_k_super_blocking_pairs(
-    inst: Instance, matching: Matching, k: int
-) -> bool:
-    """Early-exit counter for large instances where only a threshold matters."""
-    if k <= 0:
-        return True
-    matching.validate_for(inst.n)
-    n = inst.n
-    wrank = inst.women_rank
-    found = 0
-    for m in range(n):
-        mr = inst.men_rank[m]
-        pm = matching.woman_of(m)
-        for w in range(n):
-            if pm == w:
-                continue
-            if pm is not None and mr[w] > mr[pm]:
-                continue
-            pw = matching.man_of(w)
-            if pw is not None and wrank[w][m] > wrank[w][pw]:
-                continue
-            found += 1
-            if found >= k:
-                return True
-    return False
 
 
 def is_weakly_stable(inst: Instance, matching: Matching) -> bool:

@@ -12,7 +12,15 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import Completion, Instance, Matching, restrict_instance
+from .core import (
+    Completion,
+    Instance,
+    Matching,
+    approvals,
+    restrict_instance,
+    super_blocking_pairs,
+    tier_ranks,
+)
 
 
 class BudgetExceededError(RuntimeError):
@@ -61,40 +69,36 @@ def enumerate_completions(
 def max_bp_over_completions(
     inst: Instance, matching: Matching, budget: OracleBudget = DEFAULT_BUDGET
 ) -> int:
-    """Maximum number of blocking pairs over every completion of ``inst``."""
+    """Maximum number of blocking pairs over every completion of ``inst``.
+
+    Each side's approvals depend only on that side's orders, so every
+    side-completion is packed once into a bitmask with bit m*n + w set when
+    that side approves the pair (m, w).  A completion's blocking pairs are
+    the AND of its two sides' masks.  Every completion is still visited.
+    """
     _check_completion_budget(inst, budget)
     matching.validate_for(inst.n)
     n = inst.n
     wom_of = [matching.woman_of(m) for m in range(n)]
     man_of = [matching.man_of(w) for w in range(n)]
-    men_choices = [[_ranks(o, n) for o in tl.linear_orders()] for tl in inst.men]
-    women_choices = [[_ranks(o, n) for o in tl.linear_orders()] for tl in inst.women]
+
+    def side_masks(side, partners, own_step: int, other_step: int) -> Iterator[int]:
+        per_agent = []
+        for a, (tl, partner) in enumerate(zip(side, partners)):
+            options = []
+            for order in tl.linear_orders():
+                [approved] = approvals([tier_ranks(zip(order), n)], [partner])
+                bits = (a * own_step + b * other_step for b in approved)
+                options.append(sum(1 << bit for bit in bits))
+            per_agent.append(options)
+        # each agent owns its own bits, so adding the agents' masks unions them
+        return map(sum, itertools.product(*per_agent))
+
+    women_masks = list(side_masks(inst.women, man_of, 1, n))
     best = 0
-    for men_rank in itertools.product(*men_choices):
-        for women_rank in itertools.product(*women_choices):
-            count = 0
-            for m in range(n):
-                mr = men_rank[m]
-                pm = wom_of[m]
-                for w in range(n):
-                    if pm == w:
-                        continue
-                    if pm is not None and mr[w] > mr[pm]:
-                        continue
-                    pw = man_of[w]
-                    if pw is not None and women_rank[w][m] > women_rank[w][pw]:
-                        continue
-                    count += 1
-            if count > best:
-                best = count
+    for men_mask in side_masks(inst.men, wom_of, n, 1):
+        best = max(best, max(map(int.bit_count, map(men_mask.__and__, women_masks))))
     return best
-
-
-def _ranks(order: tuple[int, ...], n: int) -> tuple[int, ...]:
-    out = [0] * n
-    for r, x in enumerate(order):
-        out[x] = r
-    return tuple(out)
 
 
 def min_super_bp(
@@ -111,25 +115,10 @@ def min_super_bp(
         raise BudgetExceededError(
             f"{n}! matchings exceed the budget of {budget.max_matchings}"
         )
-    mrank, wrank = inst.men_rank, inst.women_rank
     best_count = n * n + 1
     best_perm: tuple[int, ...] | None = None
     for perm in itertools.permutations(range(n)):
-        man_of = [0] * n
-        for m, w in enumerate(perm):
-            man_of[w] = m
-        count = 0
-        for m in range(n):
-            mr = mrank[m]
-            pm = perm[m]
-            for w in range(n):
-                if w == pm:
-                    continue
-                if mr[w] > mr[pm]:
-                    continue
-                if wrank[w][m] > wrank[w][man_of[w]]:
-                    continue
-                count += 1
+        count = len(super_blocking_pairs(inst, Matching(enumerate(perm))))
         if count < best_count:
             best_count = count
             best_perm = perm
@@ -185,27 +174,16 @@ def max_internal_super_stable_size(
     for opts in options:
         opts.sort()
 
-    mrank, wrank = inst.men_rank, inst.women_rank
     best = 0
 
     def has_internal_super_block(
         wom_of: list[int | None], man_of: list[int | None]
     ) -> bool:
-        for m in range(n):
-            pm = wom_of[m]
-            if pm is None:
-                continue
-            mr = mrank[m]
-            for w in range(n):
-                pw = man_of[w]
-                if pw is None or w == pm:
-                    continue
-                if mr[w] > mr[pm]:
-                    continue
-                if wrank[w][m] > wrank[w][pw]:
-                    continue
-                return True
-        return False
+        matching = Matching((m, w) for m, w in enumerate(wom_of) if w is not None)
+        return any(
+            wom_of[m] is not None and man_of[w] is not None
+            for m, w in super_blocking_pairs(inst, matching)
+        )
 
     wom_of: list[int | None] = [None] * n
     man_of: list[int | None] = [None] * n

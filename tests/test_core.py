@@ -15,8 +15,6 @@ from minimaxsm import (
     build_witness_completion,
     compute_delta,
     count_super_blocking_pairs,
-    is_obvious_blocking_pair,
-    is_super_blocking_pair,
     is_super_stable,
     is_weakly_stable,
     obvious_blocking_pairs,
@@ -24,7 +22,7 @@ from minimaxsm import (
     super_blocking_pairs,
     validate_one_sided_top_truncated,
 )
-from minimaxsm.core import has_at_least_k_super_blocking_pairs
+from minimaxsm.core import approvals
 from minimaxsm.generators import gen_fig1, gen_fig4, gen_random
 from minimaxsm.oracles import max_bp_over_completions
 
@@ -112,16 +110,14 @@ def two_by_two():
 
 def test_obvious_blocking_pair_basic(two_by_two):
     crossed = Matching([(0, 1), (1, 0)])
-    assert is_obvious_blocking_pair(two_by_two, crossed, 0, 0)
-    assert is_super_blocking_pair(two_by_two, crossed, 0, 0)
+    assert (0, 0) in obvious_blocking_pairs(two_by_two, crossed)
+    assert (0, 0) in super_blocking_pairs(two_by_two, crossed)
     assert not is_weakly_stable(two_by_two, crossed)
 
 
 def test_top_tier_partner_never_blocks(two_by_two):
     good = Matching([(0, 0), (1, 1)])
-    assert not any(
-        is_obvious_blocking_pair(two_by_two, good, 0, w) for w in range(2)
-    )
+    assert obvious_blocking_pairs(two_by_two, good) == []
     assert is_weakly_stable(two_by_two, good)
     assert is_super_stable(two_by_two, good)
 
@@ -133,38 +129,43 @@ def test_tie_is_not_obvious_but_is_super():
         women=[[[0, 1]], [[0], [1]]],
     )
     matching = Matching([(0, 0), (1, 1)])
-    assert not is_obvious_blocking_pair(inst, matching, 1, 0)
-    assert is_super_blocking_pair(inst, matching, 1, 0)
+    assert (1, 0) not in obvious_blocking_pairs(inst, matching)
+    assert (1, 0) in super_blocking_pairs(inst, matching)
 
 
-def test_matched_pair_never_blocks(two_by_two):
-    matching = Matching([(0, 0), (1, 1)])
-    assert not is_super_blocking_pair(two_by_two, matching, 0, 0)
+def test_matched_pair_never_blocks():
+    # in the all-tied market every unmatched pair super-blocks, matched ones never
+    full = TierList(((0, 1),))
+    inst = Instance([full] * 2, [full] * 2)
+    assert super_blocking_pairs(inst, Matching.identity(2)) == [(0, 1), (1, 0)]
 
 
 def test_pair_index_out_of_range(two_by_two):
     with pytest.raises(ValidationError):
-        is_super_blocking_pair(two_by_two, Matching.identity(2), 0, 5)
+        super_blocking_pairs(two_by_two, Matching([(0, 5)]))
 
 
 def test_unmatched_agents_prefer_anyone():
     inst = all_strict(2)
     empty = Matching([])
-    assert is_obvious_blocking_pair(inst, empty, 0, 0)
+    assert (0, 0) in obvious_blocking_pairs(inst, empty)
     assert len(super_blocking_pairs(inst, empty)) == 4
+
+
+def test_approvals_rule():
+    ranks = [(0, 1, 1, 2)] * 3
+    # tied-or-better than the partner, never the partner itself
+    assert approvals(ranks, [1, 3, 0]) == [[0, 2], [0, 1, 2], []]
+    # strictly better only
+    assert approvals(ranks, [1, 3, 0], strict=True) == [[0], [0, 1, 2], []]
+    # an unmatched agent approves everyone, strict or not
+    for strict_flag in (False, True):
+        assert approvals(ranks[:1], [None], strict_flag) == [[0, 1, 2, 3]]
 
 
 def test_fig1_identity_unique_super_bp():
     inst = gen_fig1(8, Fraction(1, 4))
     assert super_blocking_pairs(inst, Matching.identity(8)) == [(1, 0)]
-
-
-def test_counts_and_early_exit_agree(mixed_corpus):
-    for inst in mixed_corpus[:20]:
-        matching = Matching.identity(inst.n)
-        k = count_super_blocking_pairs(inst, matching)
-        assert has_at_least_k_super_blocking_pairs(inst, matching, k)
-        assert not has_at_least_k_super_blocking_pairs(inst, matching, k + 1)
 
 
 # ---------------------------------------------------------------------------

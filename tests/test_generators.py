@@ -22,9 +22,7 @@ from minimaxsm.generators import (
     UndirectedGraph,
     build_yes_matching,
     count_good_block_matchings,
-    fig1_claims,
     fig3_opt_matching,
-    fig4_claims,
     gen_fig1,
     gen_fig3,
     gen_fig4,
@@ -88,16 +86,6 @@ def test_fig1_modes_differ_only_in_tied_blocks():
     assert verbatim.women[woman].tiers[0] == tuple(x - 1 for x in p.blocks[0])
 
 
-def test_fig1_claims_report_by_mode():
-    default = fig1_claims(gen_fig1(16, Q), Q)
-    assert default == {
-        "delta_within_budget": True,
-        "identity_unique_super_bp": True,
-    }
-    verbatim = fig1_claims(gen_fig1(16, Q, figure_verbatim=True), Q)
-    assert verbatim["delta_within_budget"]
-
-
 def test_fig1_gs_cascade_smoke():
     inst = gen_fig1(16, Q)
     for seed in range(25):
@@ -150,11 +138,6 @@ def test_fig4_structure_and_matching():
     p = TieBlockParams.derive(16, Q)
     per_block_floor = p.z * (p.y - 2) * (p.y - 1) // 2
     assert count_super_blocking_pairs(inst, rotated) >= per_block_floor
-
-
-def test_fig4_claims_by_mode():
-    inst, rotated = gen_fig4(16, Q)
-    assert all(fig4_claims(inst, rotated, Q).values())
 
 
 def test_fig4_rejects_bad_parameters():

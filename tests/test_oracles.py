@@ -14,6 +14,8 @@ from minimaxsm import (
     max_bp_over_completions,
     min_delete,
     min_super_bp,
+    obvious_blocking_pairs,
+    super_blocking_pairs,
     super_stable_solve,
 )
 from minimaxsm.oracles import (
@@ -79,6 +81,46 @@ def test_max_bp_on_fig1_identity_is_one():
     assert max_bp_over_completions(inst, Matching.identity(8), BIG) == 1
 
 
+def _as_good(tiers, x, partner) -> bool:
+    """x sits in the partner's tier or an earlier one (or there is no partner)."""
+    for tier in tiers:
+        if x in tier:
+            return True
+        if partner in tier:
+            return False
+    raise AssertionError("x is missing from the tiers")
+
+
+def _better(tiers, x, partner) -> bool:
+    """x sits in a tier strictly before the partner's (or there is no partner)."""
+    for tier in tiers:
+        if partner in tier:
+            return False
+        if x in tier:
+            return True
+    raise AssertionError("x is missing from the tiers")
+
+
+def _pairs_by_definition(men_tiers, women_tiers, matching, prefers):
+    """Blocking pairs written out from tier-list membership alone: no rank
+    tables and no scan from the package."""
+    n = len(men_tiers)
+    return [
+        (m, w)
+        for m in range(n)
+        for w in range(n)
+        if (m, w) not in matching
+        and prefers(men_tiers[m], w, matching.woman_of(m))
+        and prefers(women_tiers[w], m, matching.man_of(w))
+    ]
+
+
+def _some_matchings(n):
+    # every perfect matching up to n=3, an evenly spaced quarter of them at n=4
+    perms = list(itertools.permutations(range(n)))
+    return [Matching(enumerate(p)) for p in perms[:: 1 if n <= 3 else 6]]
+
+
 def test_max_bp_equals_super_bp_count(mixed_corpus):
     for inst in mixed_corpus[:12]:
         if count_completions(inst) > 4000:
@@ -88,6 +130,30 @@ def test_max_bp_equals_super_bp_count(mixed_corpus):
             assert max_bp_over_completions(inst, matching) == count_super_blocking_pairs(
                 inst, matching
             )
+    # the scans and the oracle share one rule, so check all three against an
+    # independent count
+    for idx, inst in enumerate(mixed_corpus):
+        men = [tl.tiers for tl in inst.men]
+        women = [tl.tiers for tl in inst.women]
+        completions = []
+        if idx < 12:
+            completions = [
+                ([tuple(zip(o)) for o in c.men_orders],
+                 [tuple(zip(o)) for o in c.women_orders])
+                for c in enumerate_completions(inst)
+            ]
+        for matching in _some_matchings(inst.n):
+            sbps = _pairs_by_definition(men, women, matching, _as_good)
+            assert super_blocking_pairs(inst, matching) == sbps
+            assert obvious_blocking_pairs(inst, matching) == _pairs_by_definition(
+                men, women, matching, _better
+            )
+            if completions:
+                worst = max(
+                    len(_pairs_by_definition(cm, cw, matching, _better))
+                    for cm, cw in completions
+                )
+                assert max_bp_over_completions(inst, matching) == worst == len(sbps)
 
 
 def test_min_super_bp_zero_iff_super_stable(mixed_corpus):
