@@ -141,8 +141,10 @@ def super_stable_solve(inst: Instance) -> Matching | None:
     the current head tier of his list and may hold several provisional
     engagements at once.  A woman accepting a proposal deletes every strictly
     worse entry (displacing any such fiance); a woman whose fiance ties the
-    proposer rejects both, deleting both pairs.  Every deletion removes a
-    pair that no super-stable matching can contain, so an emptied list proves
+    proposer rejects both and deletes every entry from their tier down (the
+    tail of her list, after Irving, "Stable marriage and indifference",
+    Discrete Appl. Math. 48, 1994).  Every deletion removes a pair that no
+    super-stable matching can contain, so an emptied list proves
     non-existence.  Once no man is free, each man holds exactly one
     engagement (each woman holds at most one, so n men with at least one
     average out to one each) and that matching is returned after a final
@@ -167,21 +169,17 @@ def super_stable_solve(inst: Instance) -> Matching | None:
             if not work.contains(m, w):
                 continue
             p = fiance[w]
-            if p is not None and wrank[w][p] == wrank[w][m]:
-                # w cannot rank m against her fiance: neither pair survives.
-                work.delete(m, w)
-                work.delete(p, w)
-                fiance[w] = None
-                eng_count[p] -= 1
-                if not eng_count[p]:
-                    free.append(p)
-                continue
-            assert p is None or wrank[w][m] < wrank[w][p]
+            # A woman who cannot rank m against her fiance loses the whole
+            # tail of her list from m's tier down: any of those men as her
+            # partner is super-blocked by m or by the fiance.
+            tied = p is not None and wrank[w][p] == wrank[w][m]
+            assert tied or p is None or wrank[w][m] < wrank[w][p]
+            cut = wrank[w][m] if tied else wrank[w][m] + 1
             for m2 in [
                 x
                 for tier in work.women_lists[w]
                 for x in tier
-                if wrank[w][x] > wrank[w][m]
+                if wrank[w][x] >= cut
             ]:
                 work.delete(m2, w)
                 if fiance[w] == m2:
@@ -189,8 +187,9 @@ def super_stable_solve(inst: Instance) -> Matching | None:
                     eng_count[m2] -= 1
                     if not eng_count[m2]:
                         free.append(m2)
-            fiance[w] = m
-            eng_count[m] += 1
+            if not tied:
+                fiance[w] = m
+                eng_count[m] += 1
         if not eng_count[m]:
             if not work.men_lists[m]:
                 return None

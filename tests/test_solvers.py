@@ -413,3 +413,25 @@ def test_assemble_respects_combination_bound():
     n, half = inst.n, len(dm)
     bound = (n - half) * half + beta + half * n
     assert count_super_blocking_pairs(inst, full) <= bound
+
+
+def test_super_stable_solve_deletes_the_whole_tail_on_a_tie():
+    # Demoting the optimum's one super-blocking pair leaves a market with a
+    # super-stable matching; rejecting only the proposer and the tied fiance
+    # missed it, so the exact search reported 2 here.
+    inst = tiered(
+        men=[
+            ((2, 3), (0,), (1,)),
+            ((2, 3), (0, 1)),
+            ((0, 1), (2,), (3,)),
+            ((2, 3), (0, 1)),
+        ],
+        women=[
+            ((3,), (0, 1), (2,)),
+            ((0,), (1, 2, 3)),
+            ((1, 2), (0, 3)),
+            ((2,), (0, 1, 3)),
+        ],
+    )
+    optimum, _ = min_super_bp(inst)
+    assert exact_min_super_bp(inst).super_bp_count == optimum == 1
