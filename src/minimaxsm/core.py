@@ -286,42 +286,31 @@ def compute_delta(inst: Instance) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def approvals(
-    ranks: Sequence[Sequence[int]],
-    partners: Sequence[int | None],
-    strict: bool = False,
+    ranks: Sequence[Sequence[int]], partners: Sequence[int | None], strict: bool = False
 ) -> list[list[int]]:
-    """For each agent, the opposite-side agents it prefers to its partner.
-
-    ``ranks[a]`` is agent a's rank table and ``partners[a]`` its partner or
-    None.  A candidate is approved when it is tied with the partner or
-    better, or only when strictly better with ``strict``; each list is
-    ascending.  Ranks are integers, so "strictly better" is "at least one
-    rank better".  This is the one comparison every blocking-pair scan uses.
+    """For each agent, the ascending list of opposite-side agents it prefers to
+    its partner: tied or better, or only strictly better with ``strict``.
+    This is the one comparison behind every blocking-pair scan.
     """
     out = []
     for row, partner in zip(ranks, partners):
         if partner is None:
             bar = len(row)  # every rank is below n: anyone beats staying single
         else:
-            bar = row[partner] - 1 if strict else row[partner]
+            bar = row[partner] - 1 if strict else row[partner]  # ranks are integers
         out.append([x for x, r in enumerate(row) if r <= bar and x != partner])
     return out
 
 
 def _blocking_pairs(
-    men_rank: Sequence[Sequence[int]],
-    women_rank: Sequence[Sequence[int]],
-    matching: Matching,
-    strict: bool,
+    men_rank: Sequence, women_rank: Sequence, matching: Matching, strict: bool
 ) -> list[tuple[int, int]]:
     """Pairs whose members approve each other, in (man, woman) row-major order."""
     n = len(men_rank)
     matching.validate_for(n)
     men = approvals(men_rank, [matching.woman_of(m) for m in range(n)], strict)
-    women = [
-        set(a)
-        for a in approvals(women_rank, [matching.man_of(w) for w in range(n)], strict)
-    ]
+    women_partners = [matching.man_of(w) for w in range(n)]
+    women = [set(a) for a in approvals(women_rank, women_partners, strict)]
     return [(m, w) for m, ws in enumerate(men) for w in ws if m in women[w]]
 
 

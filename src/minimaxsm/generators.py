@@ -584,20 +584,15 @@ def block_intra_super_bps(
 ) -> list[tuple[int, int]]:
     """Super-blocking pairs of a canonical gadget matching, restricted to the
     gadget's own men and women."""
-    wom_of = dict(pairs)
-    man_of = {w: m for m, w in pairs}
-    men = approvals(
-        [inst.men_rank[m] for m in block.s_men], [wom_of[m] for m in block.s_men]
-    )
-    women = approvals(
-        [inst.women_rank[w] for w in block.t_women], [man_of[w] for w in block.t_women]
-    )
-    gadget_women = {w: set(a) for w, a in zip(block.t_women, women)}
+    pairs = sorted(pairs)
+    men = approvals([inst.men_rank[m] for m, _ in pairs], [w for _, w in pairs])
+    women = approvals([inst.women_rank[w] for _, w in pairs], [m for m, _ in pairs])
+    approved_by = {w: set(a) for (_, w), a in zip(pairs, women)}
     return [
         (m, w)
-        for m, ws in zip(block.s_men, men)
+        for (m, _), ws in zip(pairs, men)
         for w in ws
-        if w in gadget_women and m in gadget_women[w]
+        if m in approved_by.get(w, ())
     ]
 
 

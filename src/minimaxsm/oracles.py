@@ -85,12 +85,11 @@ def max_bp_over_completions(
     def side_masks(side, partners, own_step: int, other_step: int) -> Iterator[int]:
         per_agent = []
         for a, (tl, partner) in enumerate(zip(side, partners)):
-            options = []
-            for order in tl.linear_orders():
-                [approved] = approvals([tier_ranks(zip(order), n)], [partner])
-                bits = (a * own_step + b * other_step for b in approved)
-                options.append(sum(1 << bit for bit in bits))
-            per_agent.append(options)
+            orders = [tier_ranks(zip(o), n) for o in tl.linear_orders()]
+            per_agent.append([
+                sum(1 << (a * own_step + b * other_step) for b in approved)
+                for approved in approvals(orders, [partner] * len(orders))
+            ])
         # each agent owns its own bits, so adding the agents' masks unions them
         return map(sum, itertools.product(*per_agent))
 
@@ -176,9 +175,7 @@ def max_internal_super_stable_size(
 
     best = 0
 
-    def has_internal_super_block(
-        wom_of: list[int | None], man_of: list[int | None]
-    ) -> bool:
+    def has_internal_super_block() -> bool:
         matching = Matching((m, w) for m, w in enumerate(wom_of) if w is not None)
         return any(
             wom_of[m] is not None and man_of[w] is not None
@@ -191,7 +188,7 @@ def max_internal_super_stable_size(
     def search(m: int, size: int) -> None:
         nonlocal best
         if m == n:
-            if size > best and not has_internal_super_block(wom_of, man_of):
+            if size > best and not has_internal_super_block():
                 best = size
             return
         if size + (n - m) <= best:
