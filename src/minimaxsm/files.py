@@ -20,27 +20,36 @@ def instance_to_dict(inst: Instance) -> dict:
     return {"n": inst.n, "men": side(inst.men), "women": side(inst.women)}
 
 
+def _integer(value) -> int:
+    """A JSON integer; a boolean, a float or a string is not one."""
+    if type(value) is not int:
+        raise ValidationError(f"expected an integer, got {json.dumps(value)}")
+    return value
+
+
 def instance_from_dict(doc: dict) -> Instance:
     try:
-        n = int(doc["n"])
+        n = _integer(doc["n"])
         raw_men = doc["men"]
         raw_women = doc["women"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"instance document missing field: {exc}") from exc
 
-    def side(raw, label: str) -> list[TierList]:
+    def side(raw, label: str, agent: str) -> list[TierList]:
         if not isinstance(raw, list) or len(raw) != n:
             raise ValidationError(f"expected a list of {n} {label}")
         out = []
         for i, tiers in enumerate(raw):
             try:
-                tl = TierList(tuple(tuple(int(x) - 1 for x in t) for t in tiers))
+                tl = TierList(tuple(tuple(_integer(x) - 1 for x in t) for t in tiers))
             except (TypeError, ValueError) as exc:
-                raise ValidationError(f"{label[:-1]} {i + 1}: malformed tiers") from exc
+                raise ValidationError(
+                    f"{agent} {i + 1}: malformed tiers ({exc})"
+                ) from exc
             out.append(tl)
         return out
 
-    return Instance(side(raw_men, "men"), side(raw_women, "women"))
+    return Instance(side(raw_men, "men", "man"), side(raw_women, "women", "woman"))
 
 
 def matching_to_dict(matching: Matching) -> dict:
@@ -49,7 +58,7 @@ def matching_to_dict(matching: Matching) -> dict:
 
 def matching_from_dict(doc: dict) -> Matching:
     try:
-        pairs = [(int(m) - 1, int(w) - 1) for m, w in doc["pairs"]]
+        pairs = [(_integer(m) - 1, _integer(w) - 1) for m, w in doc["pairs"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed matching document: {exc}") from exc
     return Matching(pairs)

@@ -208,6 +208,30 @@ def test_verify_rejects_absent_agents(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("bad", [True, 1.9])
+def test_solve_rejects_non_integer_agent_in_instance(tmp_path, capsys, bad):
+    ipath = tmp_path / "i.json"
+    doc = {"n": 2, "men": [[[bad], [2]], [[1], [2]]], "women": [[[1], [2]]] * 2}
+    ipath.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["solve", "--algo", "gs", "--input", str(ipath)]) == 2
+    assert "man 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [True, 1.9])
+def test_verify_rejects_non_integer_agent_in_matching(tmp_path, capsys, bad):
+    ipath, mpath = tmp_path / "i.json", tmp_path / "m.json"
+    save_instance(strict([[0, 1], [0, 1]], [[0, 1], [0, 1]]), ipath)
+    mpath.write_text(json.dumps({"pairs": [[bad, 1], [2, 2]]}), encoding="utf-8")
+    assert main(["verify", "--input", str(ipath), "--matching", str(mpath)]) == 2
+    assert "expected an integer" in capsys.readouterr().err
+
+
+def test_instance_n_must_be_an_integer():
+    doc = {"n": "2", "men": [[[1], [2]]] * 2, "women": [[[1], [2]]] * 2}
+    with pytest.raises(ValidationError, match="expected an integer"):
+        instance_from_dict(doc)
+
+
 def test_oracle_minimax_agrees_with_verify(tmp_path, capsys):
     inst = gen_random(3, Fraction(1, 2), seed=21)
     ipath, mpath = tmp_path / "i.json", tmp_path / "m.json"
