@@ -456,19 +456,31 @@ def min_vertex_cover_bipartite(
     match_w: dict[int, int] = {}
     match_m: dict[int, int] = {}
 
-    def augment(m: int, visited: set[int]) -> bool:
-        for w in adj[m]:
-            if w in visited:
+    def augment(root: int) -> None:
+        # Depth-first search for an augmenting path with an explicit stack:
+        # path[i] is the woman stack[i]'s man is trying, and her fiance is
+        # stack[i + 1].  Each man tries his women in ascending order.
+        visited: set[int] = set()
+        stack = [(root, iter(adj[root]))]
+        path: list[int] = []
+        while stack:
+            m, options = stack[-1]
+            w = next((x for x in options if x not in visited), None)
+            if w is None:
+                stack.pop()
+                del path[-1:]
                 continue
             visited.add(w)
-            if w not in match_w or augment(match_w[w], visited):
-                match_w[w] = m
-                match_m[m] = w
-                return True
-        return False
+            path.append(w)
+            if w not in match_w:
+                for (m2, _), w2 in zip(stack, path):
+                    match_w[w2] = m2
+                    match_m[m2] = w2
+                return
+            stack.append((match_w[w], iter(adj[match_w[w]])))
 
     for m in men:
-        augment(m, set())
+        augment(m)
 
     reach_men = {m for m in men if m not in match_m}
     reach_women: set[int] = set()

@@ -283,6 +283,15 @@ def test_cover_matches_brute_force():
         assert len(cover_men) + len(cover_women) == brute_force_cover_size(edges)
 
 
+def test_cover_of_a_long_path():
+    # each new man's first woman starts an alternating path through every
+    # earlier man, deeper than Python's recursion limit
+    edges = [(i, i) for i in range(1500)] + [(i + 1, i) for i in range(1500)]
+    cover_men, cover_women = min_vertex_cover_bipartite(edges)
+    assert all(m in cover_men or w in cover_women for m, w in edges)
+    assert len(cover_men) + len(cover_women) == 1500
+
+
 # ---------------------------------------------------------------------------
 # deletion pipeline
 # ---------------------------------------------------------------------------
