@@ -1,7 +1,10 @@
 """Solvers: completion-based matching, super-stability, exact search, and the
 deletion pipeline with its vertex-cover step."""
 
+import hashlib
 import itertools
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,6 +31,7 @@ from minimaxsm.oracles import (
     min_delete,
     min_super_bp,
 )
+from minimaxsm.files import matching_to_dict, report_to_dict
 from minimaxsm.solvers import DegenerateInstanceError, PreconditionError, _demote
 from minimaxsm.generators import gen_fig1, gen_fig4, gen_random
 
@@ -444,3 +448,94 @@ def test_super_stable_solve_deletes_the_whole_tail_on_a_tie():
     )
     optimum, _ = min_super_bp(inst)
     assert exact_min_super_bp(inst).super_bp_count == optimum == 1
+
+
+# ---------------------------------------------------------------------------
+# reports at scale, pinned byte for byte
+# ---------------------------------------------------------------------------
+
+def _tied_order(rng, order, merge):
+    """Tiers over ``order`` that tie each entry to the previous one with
+    probability ``merge``."""
+    tiers = [[order[0]]]
+    for x in order[1:]:
+        if rng.random() < merge:
+            tiers[-1].append(x)
+        else:
+            tiers.append([x])
+    return tiers
+
+
+def _bottom_tie_market(n, rng):
+    """Strict men; each woman ties a trailing run of length 1 to n."""
+    men = [[[x] for x in rng.sample(range(n), n)] for _ in range(n)]
+    women = []
+    for _ in range(n):
+        order = rng.sample(range(n), n)
+        cut = rng.randrange(n)
+        women.append([[x] for x in order[:cut]] + [order[cut:]])
+    return tiered(men, women)
+
+
+def _super_stable_market(n, rng):
+    """A strict market tied only below each agent's partner in its
+    man-optimal stable matching, which therefore stays super-stable."""
+    men = [rng.sample(range(n), n) for _ in range(n)]
+    women = [rng.sample(range(n), n) for _ in range(n)]
+    stable = gale_shapley_completion(strict(men, women)).matching
+
+    def tie_below(order, partner):
+        cut = order.index(partner) + 1
+        rest = _tied_order(rng, order[cut:], 0.5) if cut < n else []
+        return [[x] for x in order[:cut]] + rest
+
+    return tiered(
+        [tie_below(o, stable.woman_of(m)) for m, o in enumerate(men)],
+        [tie_below(o, stable.man_of(w)) for w, o in enumerate(women)],
+    )
+
+
+def _two_sided_tie_market(n, rng):
+    """Ties on both sides: each entry joins the previous tier with
+    probability 0.3."""
+    return tiered(
+        [_tied_order(rng, rng.sample(range(n), n), 0.3) for _ in range(n)],
+        [_tied_order(rng, rng.sample(range(n), n), 0.3) for _ in range(n)],
+    )
+
+
+def _digest(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
+
+
+SCALE_CASES = {
+    "algo1-bottom-tie-1": lambda: report_to_dict(
+        min_delete_approx(_bottom_tie_market(100, random.Random(1)))),
+    "algo1-bottom-tie-2": lambda: report_to_dict(
+        min_delete_approx(_bottom_tie_market(100, random.Random(2)))),
+    "algo1-bottom-tie-3": lambda: report_to_dict(
+        min_delete_approx(_bottom_tie_market(100, random.Random(3)))),
+    "algo1-fig4-40": lambda: report_to_dict(
+        min_delete_approx(gen_fig4(40, Fraction(1, 4))[0])),
+    "super-stable-found": lambda: matching_to_dict(
+        super_stable_solve(_super_stable_market(100, random.Random(4)))),
+}
+
+# Taken from the nested-tier working lists; any change to the working lists
+# must reproduce them.
+SCALE_DIGESTS = {
+    "algo1-bottom-tie-1": "78e687a939e60305",
+    "algo1-bottom-tie-2": "b905929543272afa",
+    "algo1-bottom-tie-3": "b65d1b220298d6e3",
+    "algo1-fig4-40": "beac2730f8f2c1f0",
+    "super-stable-found": "77751c6143bebfc7",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCALE_CASES))
+def test_reports_are_byte_identical_at_scale(case):
+    assert _digest(SCALE_CASES[case]()) == SCALE_DIGESTS[case]
+
+
+def test_super_stable_solve_finds_none_at_scale():
+    assert super_stable_solve(_two_sided_tie_market(100, random.Random(5))) is None
