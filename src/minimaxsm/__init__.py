@@ -27,6 +27,7 @@ from .solvers import (
     SolveReport,
     WorkingInstance,
     assemble_from_deletion,
+    deletion_stages,
     exact_min_super_bp,
     find_exposed_rotation,
     gale_shapley_completion,

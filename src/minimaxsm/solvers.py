@@ -9,7 +9,7 @@ import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable, Iterator
 
 from .core import (
     Completion,
@@ -154,7 +154,7 @@ def super_stable_solve(inst: Instance) -> Matching | None:
     if n == 0:
         return Matching(())
     work = WorkingInstance(inst)
-    wrank = inst.women_rank
+    mrank, wrank = inst.men_rank, inst.women_rank
     eng_count = [0] * n
     fiance: list[int | None] = [None] * n
     free = deque(range(n))
@@ -162,31 +162,24 @@ def super_stable_solve(inst: Instance) -> Matching | None:
         m = free.popleft()
         if eng_count[m]:
             continue
-        tiers = work.men_lists[m]
-        if not tiers:
+        entries = work.men_lists[m]
+        if not entries:
             return None
-        for w in list(tiers[0]):
-            if not work.contains(m, w):
-                continue
+        head = mrank[m][next(iter(entries))]
+        for w in list(itertools.takewhile(lambda x: mrank[m][x] == head, entries)):
             p = fiance[w]
             # A woman who cannot rank m against her fiance loses the whole
             # tail of her list from m's tier down: any of those men as her
-            # partner is super-blocked by m or by the fiance.
+            # partner is super-blocked by m or by the fiance.  Either way
+            # the cut takes the fiance.
             tied = p is not None and wrank[w][p] == wrank[w][m]
             assert tied or p is None or wrank[w][m] < wrank[w][p]
-            cut = wrank[w][m] if tied else wrank[w][m] + 1
-            for m2 in [
-                x
-                for tier in work.women_lists[w]
-                for x in tier
-                if wrank[w][x] >= cut
-            ]:
-                work.delete(m2, w)
-                if fiance[w] == m2:
-                    fiance[w] = None
-                    eng_count[m2] -= 1
-                    if not eng_count[m2]:
-                        free.append(m2)
+            work.cut_tail("women", w, wrank[w][m] if tied else wrank[w][m] + 1)
+            if p is not None:
+                fiance[w] = None
+                eng_count[p] -= 1
+                if not eng_count[p]:
+                    free.append(p)
             if not tied:
                 fiance[w] = m
                 eng_count[m] += 1
@@ -264,48 +257,51 @@ def exact_min_super_bp(inst: Instance, k_max: int | None = None) -> SolveReport 
 # ---------------------------------------------------------------------------
 
 class WorkingInstance:
-    """Mutable per-agent tier lists supporting delete(man, woman) on both
-    sides at once; emptied tiers are removed.  The originating instance keeps
-    the rank matrices, which deletion never changes."""
+    """Each agent's surviving entries, best first, as one insertion-ordered
+    dict, with delete(man, woman) on both sides at once.  Ranks are read from
+    the originating instance, which deletion never changes."""
 
     def __init__(self, inst: Instance):
         self.inst = inst
         self.n = inst.n
-        self.men_lists: list[list[list[int]]] = [
-            [list(t) for t in tl.tiers] for tl in inst.men
+        self.men_lists: list[dict[int, None]] = [
+            dict.fromkeys(itertools.chain.from_iterable(tl.tiers)) for tl in inst.men
         ]
-        self.women_lists: list[list[list[int]]] = [
-            [list(t) for t in tl.tiers] for tl in inst.women
+        self.women_lists: list[dict[int, None]] = [
+            dict.fromkeys(itertools.chain.from_iterable(tl.tiers)) for tl in inst.women
         ]
 
-    def contains(self, man: int, woman: int) -> bool:
-        return any(woman in tier for tier in self.men_lists[man])
+    def _side(self, side: str):
+        if side == "men":
+            return self.men_lists, self.inst.men_rank
+        return self.women_lists, self.inst.women_rank
 
     def delete(self, man: int, woman: int) -> None:
-        self._remove(self.men_lists[man], woman)
-        self._remove(self.women_lists[woman], man)
+        del self.men_lists[man][woman]
+        del self.women_lists[woman][man]
 
-    @staticmethod
-    def _remove(tiers: list[list[int]], x: int) -> None:
-        for i, tier in enumerate(tiers):
-            if x in tier:
-                tier.remove(x)
-                if not tier:
-                    del tiers[i]
-                return
-        raise KeyError(f"{x} not present")
-
-    def entries(self, side: str, agent: int) -> list[int]:
-        tiers = (self.men_lists if side == "men" else self.women_lists)[agent]
-        return [x for tier in tiers for x in tier]
+    def cut_tail(self, side: str, agent: int, bar: int) -> None:
+        """Delete every entry that ``agent`` on ``side`` ranks ``bar`` or
+        worse, reading its list from the end."""
+        lists, ranks = self._side(side)
+        entries, rank = lists[agent], ranks[agent]
+        tail = list(itertools.takewhile(lambda x: rank[x] >= bar, reversed(entries)))
+        for x in tail:
+            if side == "men":
+                self.delete(agent, x)
+            else:
+                self.delete(x, agent)
 
     def side_is_strict(self, side: str) -> bool:
-        lists = self.men_lists if side == "men" else self.women_lists
-        return all(len(tier) == 1 for tiers in lists for tier in tiers)
+        lists, ranks = self._side(side)
+        return all(
+            len({rank[x] for x in entries}) == len(entries)
+            for entries, rank in zip(lists, ranks)
+        )
 
     def pair_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(
-            (m, w) for m in range(self.n) for tier in self.men_lists[m] for w in tier
+            (m, w) for m, entries in enumerate(self.men_lists) for w in entries
         )
 
 
@@ -332,11 +328,11 @@ def propose_with(work: WorkingInstance, side: str) -> WorkingInstance:
         raise PreconditionError(f"{side} still have ties; cannot propose")
     inst = work.inst
     if side == "men":
-        forward, backward = work.men_lists, work.women_lists
+        forward, acceptors = work.men_lists, "women"
         acceptor_rank = inst.women_rank
         orient = lambda a, b: (a, b)
     else:
-        forward, backward = work.women_lists, work.men_lists
+        forward, acceptors = work.women_lists, "men"
         acceptor_rank = inst.men_rank
         orient = lambda a, b: (b, a)
 
@@ -351,7 +347,7 @@ def propose_with(work: WorkingInstance, side: str) -> WorkingInstance:
             raise DegenerateInstanceError(
                 f"proposing agent {a + 1} on the {side} side ran out of candidates"
             )
-        b = forward[a][0][0]
+        b = next(iter(forward[a]))
         p = fiance[b]
         if p is not None and acceptor_rank[b][p] == acceptor_rank[b][a]:
             work.delete(*orient(a, b))
@@ -363,27 +359,16 @@ def propose_with(work: WorkingInstance, side: str) -> WorkingInstance:
             free.append(p)
         fiance[b] = a
         fiancee[a] = b
-        for c in [
-            x
-            for tier in backward[b]
-            for x in tier
-            if acceptor_rank[b][x] > acceptor_rank[b][a]
-        ]:
-            work.delete(*orient(c, b))
+        work.cut_tail(acceptors, b, acceptor_rank[b][a] + 1)
 
     # Tie sweep: a woman's surviving tie can only contain her fiance's
     # tier-mates; one pass removes them all.
     for m in range(n):
         if not work.men_lists[m]:
             raise DegenerateInstanceError(f"man {m + 1} ran out of candidates")
-        w = work.men_lists[m][0][0]
+        w = next(iter(work.men_lists[m]))
         wr = inst.women_rank[w]
-        tied = [
-            m2
-            for tier in work.women_lists[w]
-            for m2 in tier
-            if m2 != m and wr[m2] == wr[m]
-        ]
+        tied = [m2 for m2 in work.women_lists[w] if m2 != m and wr[m2] == wr[m]]
         for m2 in tied:
             work.delete(m2, w)
     return work
@@ -398,10 +383,8 @@ def find_exposed_rotation(work: WorkingInstance) -> list[tuple[int, int]] | None
     first and w_{i+1} second on m_i's list.  Returns None iff every list is a
     singleton.
     """
-    n = work.n
     start = None
-    for m in range(n):
-        entries = work.entries("men", m)
+    for m, entries in enumerate(work.men_lists):
         if not entries:
             raise DegenerateInstanceError(f"man {m + 1} ran out of candidates")
         if len(entries) >= 2:
@@ -416,20 +399,17 @@ def find_exposed_rotation(work: WorkingInstance) -> list[tuple[int, int]] | None
     while m not in seen:
         seen[m] = len(walk)
         walk.append(m)
-        entries = work.entries("men", m)
+        entries = work.men_lists[m]
         if len(entries) < 2:
             raise DegenerateInstanceError(
                 f"man {m + 1} has a singleton list inside a rotation walk"
             )
-        second = entries[1]
-        her = work.entries("women", second)
-        if not her:
-            raise DegenerateInstanceError(f"woman {second + 1} ran out of candidates")
-        m = her[-1]
-    cycle = walk[seen[m]:]
-    rotation = [(mi, work.entries("men", mi)[0]) for mi in cycle]
+        _, second = itertools.islice(entries, 2)
+        # m is on the second woman's list, so it is not empty
+        m = next(reversed(work.women_lists[second]))
+    rotation = [(mi, next(iter(work.men_lists[mi]))) for mi in walk[seen[m]:]]
     for idx, (mi, _) in enumerate(rotation):
-        succ_w = work.entries("men", mi)[1]
+        _, succ_w = itertools.islice(work.men_lists[mi], 2)
         assert succ_w == rotation[(idx + 1) % len(rotation)][1]
     return rotation
 
@@ -502,10 +482,34 @@ def min_vertex_cover_bipartite(
     return cover_men, cover_women
 
 
-Observer = Callable[[str, frozenset[tuple[int, int]]], None]
+def deletion_stages(inst: Instance) -> Iterator[tuple[str, WorkingInstance]]:
+    """The deletion pipeline's steps on one-sided bottom-tie instances.
+
+    Yields a stage label ("start", "propose-men", "propose-women" or
+    "rotation") and the working lists after every step: a men's pass and a
+    women's pass, then one exposed rotation eliminated before the next two
+    passes, until no rotation remains.  Later steps change the yielded lists
+    in place.  The precondition is checked on the first ``next``.
+    """
+    if not validate_one_sided_top_truncated(inst):
+        raise PreconditionError(
+            "input must have strict men and women with at most one trailing tie"
+        )
+    work = WorkingInstance(inst)
+    yield "start", work
+    while True:
+        propose_with(work, "men")
+        yield "propose-men", work
+        propose_with(work, "women")
+        yield "propose-women", work
+        rotation = find_exposed_rotation(work)
+        if rotation is None:
+            return
+        eliminate_rotation(work, rotation)
+        yield "rotation", work
 
 
-def min_delete_approx(inst: Instance, observer: Observer | None = None) -> SolveReport:
+def min_delete_approx(inst: Instance) -> SolveReport:
     """Deletion pipeline for one-sided bottom-tie instances.
 
     Alternating proposal passes and rotation eliminations shrink the lists
@@ -515,42 +519,12 @@ def min_delete_approx(inst: Instance, observer: Observer | None = None) -> Solve
     set is a minimum vertex cover of the matching's super-blocking-pair
     graph, expanded by the matched partners; it is at most twice the optimal
     deletion set.
-
-    ``observer``, when given, is called with a stage label and the surviving
-    pair set after every pipeline step.
     """
-    if not validate_one_sided_top_truncated(inst):
-        raise PreconditionError(
-            "input must have strict men and women with at most one trailing tie"
-        )
-    work = WorkingInstance(inst)
-    if observer:
-        observer("start", work.pair_set())
-    propose_with(work, "men")
-    if observer:
-        observer("propose-men", work.pair_set())
-    propose_with(work, "women")
-    if observer:
-        observer("propose-women", work.pair_set())
-    while (rotation := find_exposed_rotation(work)) is not None:
-        eliminate_rotation(work, rotation)
-        if observer:
-            observer("rotation", work.pair_set())
-        propose_with(work, "men")
-        if observer:
-            observer("propose-men", work.pair_set())
-        propose_with(work, "women")
-        if observer:
-            observer("propose-women", work.pair_set())
-
-    pairs = []
-    for m in range(work.n):
-        entries = work.entries("men", m)
-        assert len(entries) == 1
-        pairs.append((m, entries[0]))
-    matching = Matching(pairs)
-    for w in range(work.n):
-        assert work.entries("women", w) == [matching.man_of(w)]
+    for _, work in deletion_stages(inst):
+        pass
+    # Deletion is symmetric, so singleton men's lists that form a perfect
+    # matching leave every woman's list holding just her partner.
+    matching = Matching(work.pair_set())
     assert matching.is_perfect(inst.n)
 
     bps = super_blocking_pairs(inst, matching)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -288,6 +289,8 @@ def test_bench_paper_suite(tmp_path):
     assert by_id["fig4-n16-algo1"]["obvious_bp_count"] == "0"
     assert int(by_id["vc-k3-yes"]["super_bp_count"]) <= 18
     assert all(r["ratio"] == "" for r in rows)  # no oracle at these sizes
+    assert all(re.fullmatch(r"\d+\.\d{3}", r["runtime_ms"]) for r in rows)
+    assert any(float(r["runtime_ms"]) > 0 for r in rows)
 
 
 def test_bench_random_suite_is_deterministic(tmp_path):

@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minimaxsm import (
     Matching,
@@ -15,6 +16,7 @@ from minimaxsm import (
     WorkingInstance,
     assemble_from_deletion,
     count_super_blocking_pairs,
+    deletion_stages,
     exact_min_super_bp,
     find_exposed_rotation,
     gale_shapley_completion,
@@ -94,8 +96,12 @@ def test_super_stable_with_one_tied_man():
         men=[[[0, 1]], [[1], [0]]],
         women=[[[0], [1]], [[1], [0]]],
     )
+    _check_super_stable_solve(inst)
+
+
+def _check_super_stable_solve(inst):
     got = super_stable_solve(inst)
-    count, _ = min_super_bp(inst)
+    count, _ = min_super_bp(inst, BIG)
     assert (got is not None) == (count == 0)
     if got is not None:
         assert is_super_stable(inst, got)
@@ -103,11 +109,7 @@ def test_super_stable_with_one_tied_man():
 
 def test_super_stable_matches_oracle(mixed_corpus):
     for inst in mixed_corpus:
-        got = super_stable_solve(inst)
-        count, _ = min_super_bp(inst)
-        assert (got is not None) == (count == 0)
-        if got is not None:
-            assert is_super_stable(inst, got)
+        _check_super_stable_solve(inst)
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +170,10 @@ def test_propose_with_reduces_to_deferred_acceptance():
     propose_with(work, "men")
     # engagements equal deferred acceptance: w1 keeps m1 and drops m2,
     # while undominated entries survive
-    assert work.entries("men", 0) == [0, 1]
-    assert work.entries("men", 1) == [1]
-    assert work.entries("women", 0) == [0]
-    assert work.entries("women", 1) == [0, 1]
+    assert list(work.men_lists[0]) == [0, 1]
+    assert list(work.men_lists[1]) == [1]
+    assert list(work.women_lists[0]) == [0]
+    assert list(work.women_lists[1]) == [0, 1]
 
 
 def test_propose_with_is_idempotent(top_truncated_corpus):
@@ -349,9 +351,8 @@ def test_pipeline_on_fig4_desk_size():
 
 
 def test_pipeline_exits_with_consistent_singletons(top_truncated_corpus):
-    stages = []
     inst = top_truncated_corpus[0]
-    min_delete_approx(inst, observer=lambda s, p: stages.append((s, p)))
+    stages = [(stage, work.pair_set()) for stage, work in deletion_stages(inst)]
     assert stages[0][0] == "start"
     final_pairs = stages[-1][1]
     men_seen = [m for m, _ in final_pairs]
@@ -371,13 +372,33 @@ def test_size_preservation_defect_is_still_present():
     should be revisited.
     """
     inst = gen_random(4, Fraction(1, 2), seed=2, top_truncated=True)
-    sizes = []
-    min_delete_approx(
-        inst,
-        observer=lambda s, p: sizes.append(max_internal_super_stable_size(inst, p)),
-    )
+    sizes = [
+        max_internal_super_stable_size(inst, work.pair_set())
+        for _, work in deletion_stages(inst)
+    ]
     assert sizes[0] == 3
     assert min(sizes) == 2
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the deletion pipeline is not a 2-approximation end to end: here it "
+    "deletes two agents although a super-stable matching exists",
+)
+def test_pipeline_two_approximation_counterexample():
+    # The failure is common on bottom-tie markets with trailing ties of
+    # random length: _bottom_tie_market(n, random.Random(seed)) for seeds
+    # 0-2999 fails 63 times at n=3, 111 at n=4 and 172 at n=5.
+    # The pipeline ends on {(0,2),(1,1),(2,0)}, which (0,0) super-blocks.
+    inst = tiered(
+        men=[((1,), (0,), (2,)), ((2,), (1,), (0,)), ((0,), (2,), (1,))],
+        women=[((1,), (0, 2)), ((1,), (0,), (2,)), ((2,), (0,), (1,))],
+    )
+    assert is_super_stable(inst, Matching([(0, 1), (1, 2), (2, 0)]))
+    report = min_delete_approx(inst)
+    dm, dw = min_delete(inst)
+    deleted = len(report.deleted_men) + len(report.deleted_women)
+    assert deleted <= 2 * (len(dm) + len(dw))
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +542,8 @@ SCALE_CASES = {
         super_stable_solve(_super_stable_market(100, random.Random(4)))),
 }
 
-# Taken from the nested-tier working lists; any change to the working lists
-# must reproduce them.
+# Taken from the nested-tier working lists that the dict-per-agent lists
+# replaced; any change to the working lists must reproduce them.
 SCALE_DIGESTS = {
     "algo1-bottom-tie-1": "78e687a939e60305",
     "algo1-bottom-tie-2": "b905929543272afa",
@@ -539,3 +560,29 @@ def test_reports_are_byte_identical_at_scale(case):
 
 def test_super_stable_solve_finds_none_at_scale():
     assert super_stable_solve(_two_sided_tie_market(100, random.Random(5))) is None
+
+
+# ---------------------------------------------------------------------------
+# properties at n = 5-6
+# ---------------------------------------------------------------------------
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_super_stable_solve_matches_oracle_at_n5(seed):
+    _check_super_stable_solve(_two_sided_tie_market(5, random.Random(seed)))
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_super_stable_solve_matches_oracle_at_n6(seed):
+    _check_super_stable_solve(_two_sided_tie_market(6, random.Random(seed)))
+
+
+@given(st.sampled_from((5, 6)), st.integers(0, 2**32))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_pipeline_is_weakly_stable_and_covers_at_n5_6(n, seed):
+    inst = _bottom_tie_market(n, random.Random(seed))
+    report = min_delete_approx(inst)
+    assert is_weakly_stable(inst, report.matching)
+    dm, dw = set(report.deleted_men), set(report.deleted_women)
+    assert all(m in dm or w in dw for m, w in report.super_blocking_pairs)
