@@ -1,7 +1,9 @@
 """File formats and the command-line surface, exercised in process."""
 
 import csv
+import hashlib
 import json
+import random
 import re
 from fractions import Fraction
 
@@ -17,10 +19,11 @@ from minimaxsm.files import (
     matching_from_dict,
     matching_to_dict,
     save_instance,
+    save_matching,
 )
 from minimaxsm.generators import gen_fig1, gen_fig4, gen_random
 
-from conftest import strict
+from conftest import strict, tiered
 
 
 # ---------------------------------------------------------------------------
@@ -327,3 +330,89 @@ def test_csv_uses_lf_line_endings(tmp_path):
     assert main(["bench", "--suite", "paper", "--out", str(out)]) == 0
     raw = out.read_bytes()
     assert b"\r" not in raw
+
+
+# ---------------------------------------------------------------------------
+# written bytes
+# ---------------------------------------------------------------------------
+
+def _tie_market(n, rng):
+    """Ties on both sides: each entry joins the previous tier with
+    probability 0.3."""
+    def tiers():
+        out = []
+        for x in rng.sample(range(n), n):
+            if out and rng.random() < 0.3:
+                out[-1].append(x)
+            else:
+                out.append([x])
+        return out
+
+    return tiered([tiers() for _ in range(n)], [tiers() for _ in range(n)])
+
+
+def _bottom_tie_market(n, rng):
+    """Strict men; each woman ties a trailing run of length 1 to n."""
+    men = [[[x] for x in rng.sample(range(n), n)] for _ in range(n)]
+    women = []
+    for _ in range(n):
+        order = rng.sample(range(n), n)
+        cut = rng.randrange(n)
+        women.append([[x] for x in order[:cut]] + [order[cut:]])
+    return tiered(men, women)
+
+
+def _solve_args(algo, make_inst, *extra):
+    def args(tmp_path):
+        ipath = tmp_path / "i.json"
+        save_instance(make_inst(), ipath)
+        return ["solve", "--algo", algo, "--input", str(ipath), *extra]
+    return args
+
+
+def _verify_args(tmp_path):
+    rng = random.Random(3)
+    ipath, mpath = tmp_path / "i.json", tmp_path / "m.json"
+    save_instance(_tie_market(100, rng), ipath)
+    save_matching(Matching(list(enumerate(rng.sample(range(100), 100)))), mpath)
+    return ["verify", "--input", str(ipath), "--matching", str(mpath)]
+
+
+def _gen_vc_args(tmp_path):
+    graph = tmp_path / "tri.txt"
+    graph.write_text("3 3\n1 2\n1 3\n2 3\n", encoding="utf-8")
+    return ["gen", "--family", "vc", "--graph", str(graph), "--k0", "2",
+            "--y", "4", "--z", "2"]
+
+
+# case -> (arguments before -o, name of the file hashed, SHA-256 prefix).
+# Digests taken from the writer built on json.dumps(indent=2,
+# sort_keys=True); any change to the writer must reproduce them.
+WRITTEN_CASES = {
+    "solve-gs": (
+        _solve_args("gs", lambda: _tie_market(100, random.Random(1)),
+                    "--seed", "11"),
+        "out.json", "94bad67cdbffb942"),
+    "solve-algo1": (
+        _solve_args("algo1", lambda: _bottom_tie_market(100, random.Random(2))),
+        "out.json", "de29eaba16ecce9b"),
+    "solve-exact": (
+        _solve_args("exact", lambda: gen_fig1(8, Fraction(1, 4)), "--kmax", "2"),
+        "out.json", "aa6e5673353cde66"),
+    "verify": (_verify_args, "out.json", "5a901eab9ef52a07"),
+    "gen-vc-cert": (_gen_vc_args, "out.cert.json", "74cb7bf7f9d687b8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITTEN_CASES))
+def test_written_files_are_byte_identical(case, tmp_path, capsys):
+    make_args, name, digest = WRITTEN_CASES[case]
+    args = make_args(tmp_path)
+    assert main([*args, "-o", str(tmp_path / "out.json")]) == 0
+    raw = (tmp_path / name).read_bytes()
+    assert hashlib.sha256(raw).hexdigest()[:16] == digest
+    if args[0] != "gen":
+        # print adds the newline that write_json adds to the file
+        capsys.readouterr()
+        assert main(args) == 0
+        assert capsys.readouterr().out == raw.decode("utf-8")
