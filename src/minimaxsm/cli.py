@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 import time
 from fractions import Fraction
@@ -76,7 +75,7 @@ def _emit(doc: dict, out: str | None) -> None:
         files.write_json(out, doc)
         print(out)
     else:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(files.dumps(doc))
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -324,7 +323,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", required=True, choices=["gs", "exact", "algo1"])
     p.add_argument("--input", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--kmax", type=int, default=3)
+    p.add_argument(
+        "--kmax", type=int, default=3,
+        help="largest candidate blocking set the exact search tries (default 3; "
+        "the library's exact_min_super_bp defaults to n*n, an exhaustive search)",
+    )
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_solve)
 

@@ -123,10 +123,49 @@ def certificate_to_dict(cert: ReductionCertificate, checks: list[dict]) -> dict:
     }
 
 
+def dumps(doc) -> str:
+    """The standard library's indent-2, sorted-key JSON text of ``doc``,
+    byte for byte, for documents with ``str`` keys whose values are dicts,
+    lists, tuples, ints, strs, bools, None or floats.
+
+    ``json.dumps`` uses its C encoder only without indentation, so the
+    indented form runs the pure Python one, one chunk per token.  Here each
+    container is one ``str.join``; scalars and keys still go through
+    ``json.dumps``.  A list of ints, or of one-int lists (the singleton
+    tiers of completions), is joined in one step."""
+    return _dump(doc, "\n")
+
+
+def _dump(value, nl: str) -> str:
+    """``value`` rendered with ``nl`` (a newline and the current indent)
+    before each of its closing brackets."""
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = nl + "  "
+        body = ("," + inner).join([
+            json.dumps(k) + ": " + _dump(v, inner) for k, v in sorted(value.items())
+        ])
+        return f"{{{inner}{body}{nl}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = nl + "  "
+        if all(type(x) is int for x in value):
+            body = ("," + inner).join(map(str, value))
+        elif all(type(x) is list and len(x) == 1 and type(x[0]) is int for x in value):
+            deeper = inner + "  "
+            sep = inner + "]," + inner + "[" + deeper
+            tiers = sep.join([str(x[0]) for x in value])
+            body = f"[{deeper}{tiers}{inner}]"
+        else:
+            body = ("," + inner).join([_dump(x, inner) for x in value])
+        return f"[{inner}{body}{nl}]"
+    return json.dumps(value)
+
+
 def write_json(path: str | Path, doc: dict) -> None:
-    Path(path).write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    Path(path).write_text(dumps(doc) + "\n", encoding="utf-8")
 
 
 def read_json(path: str | Path) -> dict:

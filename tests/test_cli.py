@@ -8,10 +8,12 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from minimaxsm import Instance, Matching, ValidationError
 from minimaxsm.cli import main
 from minimaxsm.files import (
+    dumps,
     instance_from_dict,
     instance_to_dict,
     load_instance,
@@ -55,6 +57,40 @@ def test_matching_round_trip():
     doc = matching_to_dict(matching)
     assert doc == {"pairs": [[1, 2], [3, 1]]}
     assert matching_from_dict(doc) == matching
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text()
+)
+# Leaves also include int lists and lists of one-int lists, which dumps
+# joins in one step.
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS
+    | st.lists(st.integers())
+    | st.lists(st.lists(st.integers(), min_size=1, max_size=1)),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(_JSON_VALUES)
+@example([True, 1])
+@example([[True]])
+@example([[], [1]])
+@example({})
+@example([])
+@example({"k": [{}, []]})
+@example({"tiers": [[[1], [2]], [[1, 2], [3]]], "mixed": [[1], [1.5], ["\u00e9"]]})
+@example({"\u00e9\u4e2d": "\U0001f600 caf\u00e9", "b": [1, True, None, -0.0]})
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_dumps_matches_indented_json(value):
+    assert dumps(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
