@@ -25,7 +25,7 @@ from minimaxsm.files import (
 )
 from minimaxsm.generators import gen_fig1, gen_fig4, gen_random
 
-from conftest import strict, tiered
+from conftest import bottom_tie_market, strict, two_sided_tie_market
 
 
 # ---------------------------------------------------------------------------
@@ -372,32 +372,6 @@ def test_csv_uses_lf_line_endings(tmp_path):
 # written bytes
 # ---------------------------------------------------------------------------
 
-def _tie_market(n, rng):
-    """Ties on both sides: each entry joins the previous tier with
-    probability 0.3."""
-    def tiers():
-        out = []
-        for x in rng.sample(range(n), n):
-            if out and rng.random() < 0.3:
-                out[-1].append(x)
-            else:
-                out.append([x])
-        return out
-
-    return tiered([tiers() for _ in range(n)], [tiers() for _ in range(n)])
-
-
-def _bottom_tie_market(n, rng):
-    """Strict men; each woman ties a trailing run of length 1 to n."""
-    men = [[[x] for x in rng.sample(range(n), n)] for _ in range(n)]
-    women = []
-    for _ in range(n):
-        order = rng.sample(range(n), n)
-        cut = rng.randrange(n)
-        women.append([[x] for x in order[:cut]] + [order[cut:]])
-    return tiered(men, women)
-
-
 def _solve_args(algo, make_inst, *extra):
     def args(tmp_path):
         ipath = tmp_path / "i.json"
@@ -409,7 +383,7 @@ def _solve_args(algo, make_inst, *extra):
 def _verify_args(tmp_path):
     rng = random.Random(3)
     ipath, mpath = tmp_path / "i.json", tmp_path / "m.json"
-    save_instance(_tie_market(100, rng), ipath)
+    save_instance(two_sided_tie_market(100, rng), ipath)
     save_matching(Matching(list(enumerate(rng.sample(range(100), 100)))), mpath)
     return ["verify", "--input", str(ipath), "--matching", str(mpath)]
 
@@ -426,11 +400,11 @@ def _gen_vc_args(tmp_path):
 # sort_keys=True); any change to the writer must reproduce them.
 WRITTEN_CASES = {
     "solve-gs": (
-        _solve_args("gs", lambda: _tie_market(100, random.Random(1)),
+        _solve_args("gs", lambda: two_sided_tie_market(100, random.Random(1)),
                     "--seed", "11"),
         "out.json", "94bad67cdbffb942"),
     "solve-algo1": (
-        _solve_args("algo1", lambda: _bottom_tie_market(100, random.Random(2))),
+        _solve_args("algo1", lambda: bottom_tie_market(100, random.Random(2))),
         "out.json", "de29eaba16ecce9b"),
     "solve-exact": (
         _solve_args("exact", lambda: gen_fig1(8, Fraction(1, 4)), "--kmax", "2"),

@@ -37,7 +37,13 @@ from minimaxsm.files import matching_to_dict, report_to_dict
 from minimaxsm.solvers import DegenerateInstanceError, PreconditionError, _demote
 from minimaxsm.generators import gen_fig1, gen_fig4, gen_random
 
-from conftest import strict, tiered
+from conftest import (
+    bottom_tie_market,
+    strict,
+    tied_order,
+    tiered,
+    two_sided_tie_market,
+)
 
 BIG = OracleBudget(max_agents=8, max_completions=10**6, max_matchings=10**6)
 
@@ -387,7 +393,7 @@ def test_size_preservation_defect_is_still_present():
 )
 def test_pipeline_two_approximation_counterexample():
     # The failure is common on bottom-tie markets with trailing ties of
-    # random length: _bottom_tie_market(n, random.Random(seed)) for seeds
+    # random length: bottom_tie_market(n, random.Random(seed)) for seeds
     # 0-2999 fails 63 times at n=3, 111 at n=4 and 172 at n=5.
     # The pipeline ends on {(0,2),(1,1),(2,0)}, which (0,0) super-blocks.
     inst = tiered(
@@ -475,29 +481,6 @@ def test_super_stable_solve_deletes_the_whole_tail_on_a_tie():
 # reports at scale, pinned byte for byte
 # ---------------------------------------------------------------------------
 
-def _tied_order(rng, order, merge):
-    """Tiers over ``order`` that tie each entry to the previous one with
-    probability ``merge``."""
-    tiers = [[order[0]]]
-    for x in order[1:]:
-        if rng.random() < merge:
-            tiers[-1].append(x)
-        else:
-            tiers.append([x])
-    return tiers
-
-
-def _bottom_tie_market(n, rng):
-    """Strict men; each woman ties a trailing run of length 1 to n."""
-    men = [[[x] for x in rng.sample(range(n), n)] for _ in range(n)]
-    women = []
-    for _ in range(n):
-        order = rng.sample(range(n), n)
-        cut = rng.randrange(n)
-        women.append([[x] for x in order[:cut]] + [order[cut:]])
-    return tiered(men, women)
-
-
 def _super_stable_market(n, rng):
     """A strict market tied only below each agent's partner in its
     man-optimal stable matching, which therefore stays super-stable."""
@@ -507,21 +490,12 @@ def _super_stable_market(n, rng):
 
     def tie_below(order, partner):
         cut = order.index(partner) + 1
-        rest = _tied_order(rng, order[cut:], 0.5) if cut < n else []
+        rest = tied_order(rng, order[cut:], 0.5) if cut < n else []
         return [[x] for x in order[:cut]] + rest
 
     return tiered(
         [tie_below(o, stable.woman_of(m)) for m, o in enumerate(men)],
         [tie_below(o, stable.man_of(w)) for w, o in enumerate(women)],
-    )
-
-
-def _two_sided_tie_market(n, rng):
-    """Ties on both sides: each entry joins the previous tier with
-    probability 0.3."""
-    return tiered(
-        [_tied_order(rng, rng.sample(range(n), n), 0.3) for _ in range(n)],
-        [_tied_order(rng, rng.sample(range(n), n), 0.3) for _ in range(n)],
     )
 
 
@@ -531,11 +505,11 @@ def _digest(doc) -> str:
 
 SCALE_CASES = {
     "algo1-bottom-tie-1": lambda: report_to_dict(
-        min_delete_approx(_bottom_tie_market(100, random.Random(1)))),
+        min_delete_approx(bottom_tie_market(100, random.Random(1)))),
     "algo1-bottom-tie-2": lambda: report_to_dict(
-        min_delete_approx(_bottom_tie_market(100, random.Random(2)))),
+        min_delete_approx(bottom_tie_market(100, random.Random(2)))),
     "algo1-bottom-tie-3": lambda: report_to_dict(
-        min_delete_approx(_bottom_tie_market(100, random.Random(3)))),
+        min_delete_approx(bottom_tie_market(100, random.Random(3)))),
     "algo1-fig4-40": lambda: report_to_dict(
         min_delete_approx(gen_fig4(40, Fraction(1, 4))[0])),
     "super-stable-found": lambda: matching_to_dict(
@@ -559,7 +533,7 @@ def test_reports_are_byte_identical_at_scale(case):
 
 
 def test_super_stable_solve_finds_none_at_scale():
-    assert super_stable_solve(_two_sided_tie_market(100, random.Random(5))) is None
+    assert super_stable_solve(two_sided_tie_market(100, random.Random(5))) is None
 
 
 # ---------------------------------------------------------------------------
@@ -569,19 +543,19 @@ def test_super_stable_solve_finds_none_at_scale():
 @given(st.integers(0, 2**32))
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_super_stable_solve_matches_oracle_at_n5(seed):
-    _check_super_stable_solve(_two_sided_tie_market(5, random.Random(seed)))
+    _check_super_stable_solve(two_sided_tie_market(5, random.Random(seed)))
 
 
 @given(st.integers(0, 2**32))
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_super_stable_solve_matches_oracle_at_n6(seed):
-    _check_super_stable_solve(_two_sided_tie_market(6, random.Random(seed)))
+    _check_super_stable_solve(two_sided_tie_market(6, random.Random(seed)))
 
 
 @given(st.sampled_from((5, 6)), st.integers(0, 2**32))
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_pipeline_is_weakly_stable_and_covers_at_n5_6(n, seed):
-    inst = _bottom_tie_market(n, random.Random(seed))
+    inst = bottom_tie_market(n, random.Random(seed))
     report = min_delete_approx(inst)
     assert is_weakly_stable(inst, report.matching)
     dm, dw = set(report.deleted_men), set(report.deleted_women)
