@@ -266,6 +266,27 @@ def test_verify_rejects_non_integer_agent_in_matching(tmp_path, capsys, bad):
     assert "expected an integer" in capsys.readouterr().err
 
 
+STRICT3 = [[1], [2], [3]]
+
+
+@pytest.mark.parametrize("agent, row", [
+    ("man 2", [[0], [1], [2]]),           # agent 0 is index -1 in memory
+    ("woman 1", [[1], [2], [4]]),         # agent n + 1
+    ("man 2", [[1], [], [2], [3]]),       # an empty tier
+    ("man 2", [[1], [2]]),                # ranks n - 1 agents
+    ("woman 1", [[1, 2], [2], [3]]),      # lists man 2 twice
+])
+def test_solve_rejects_malformed_row(tmp_path, capsys, agent, row):
+    label, number = agent.split()
+    doc = {"n": 3, "men": [STRICT3] * 3, "women": [STRICT3] * 3}
+    side = doc["men" if label == "man" else "women"]
+    side[int(number) - 1] = row
+    ipath = tmp_path / "i.json"
+    ipath.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["solve", "--algo", "gs", "--input", str(ipath)]) == 2
+    assert f"error: {agent}:" in capsys.readouterr().err
+
+
 def test_instance_n_must_be_an_integer():
     doc = {"n": "2", "men": [[[1], [2]]] * 2, "women": [[[1], [2]]] * 2}
     with pytest.raises(ValidationError, match="expected an integer"):
