@@ -134,6 +134,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.algo == "gs":
         report = gale_shapley_completion(inst, seed=args.seed)
     elif args.algo == "exact":
+        if args.kmax < 0:
+            raise ValidationError(f"--kmax must be nonnegative, got {args.kmax}")
         result = exact_min_super_bp(inst, k_max=args.kmax)
         if result is None:
             raise PreconditionError(
@@ -191,7 +193,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "super_stable": not sbps,
         "obvious_blocking_pairs": [[m + 1, w + 1] for m, w in obps],
         "super_blocking_pairs": [[m + 1, w + 1] for m, w in sbps],
-        "witness_completion": files.completion_to_dict(witness),
+        "witness_completion": files.instance_to_dict(witness),
     }
     _emit(doc, args.output)
     return 0
@@ -368,7 +370,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValidationError, GeneratorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,8 +9,10 @@ preferred.  All indices are 0-based internally; the JSON file formats are
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -20,40 +22,65 @@ class ValidationError(ValueError):
     """An instance, matching, or completion is structurally invalid."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TierList:
-    """One agent's preference order over the opposite side, best tier first."""
+    """One agent's preference order over the opposite side, held as the two
+    rows of a ranking array (Gusfield & Irving, *The Stable Marriage
+    Problem*, 1989, section 1.2): ``order`` lists the opposite side best
+    first, ascending within a tier, and ``rank[x]`` is the tier index of
+    agent ``x``.  Built from best-first tiers, which ``tiers`` gives back.
+    """
 
-    tiers: tuple[tuple[int, ...], ...]
+    order: tuple[int, ...]
+    rank: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "tiers", tuple(tuple(sorted(t)) for t in self.tiers)
-        )
+    def __init__(self, tiers: Iterable[Iterable[int]]):
+        tiers = [sorted(t) for t in tiers]
+        if not all(tiers):
+            raise ValidationError(f"tier {tiers.index([]) + 1} is empty")
+        order = list(itertools.chain.from_iterable(tiers))
+        self._fill(order, [r for r, tier in enumerate(tiers) for _ in tier])
 
     @classmethod
     def from_order(cls, order: Iterable[int]) -> "TierList":
-        """Strict list: every tier a singleton."""
-        return cls(tuple((x,) for x in order))
+        """Strict list: every tier a singleton, so rank is position."""
+        tl = cls.__new__(cls)
+        order = tuple(order)
+        tl._fill(order, range(len(order)))
+        return tl
 
-    def validate(self, n: int, owner: str) -> None:
-        seen: list[int] = []
-        for tier in self.tiers:
-            if not tier:
-                raise ValidationError(f"{owner}: empty tier")
-            seen.extend(tier)
-        if sorted(seen) != list(range(n)):
-            raise ValidationError(
-                f"{owner}: tiers do not partition 0..{n - 1} (got {sorted(seen)})"
-            )
+    def _fill(self, order: Sequence[int], tier_of: Iterable[int]) -> None:
+        """Store ``order`` and its rank row after checking that ``order``
+        lists each of 0..len(order)-1 once (range first: rank[-1] exists)."""
+        n = len(order)
+        rank = [-1] * n
+        for x, r in zip(order, tier_of):
+            if not 0 <= x < n:
+                raise ValidationError(f"index {x} is outside 0..{n - 1}")
+            if rank[x] >= 0:
+                raise ValidationError(f"index {x} is listed twice")
+            rank[x] = r
+        object.__setattr__(self, "order", tuple(order))
+        object.__setattr__(self, "rank", tuple(rank))
+
+    @property
+    def tiers(self) -> tuple[tuple[int, ...], ...]:
+        """The best-first tiers, each ascending."""
+        if self.is_strict:
+            return tuple(zip(self.order))
+        return tuple(
+            tuple(t) for _, t in itertools.groupby(self.order, self.rank.__getitem__)
+        )
 
     @property
     def is_strict(self) -> bool:
-        return all(len(t) == 1 for t in self.tiers)
+        # tier indices rise by at most one per position, so only a row of
+        # singletons ends on tier n - 1
+        return not self.order or self.rank[self.order[-1]] == len(self.order) - 1
 
     def missing_pairs(self) -> int:
         """Pairwise comparisons the order leaves unspecified."""
-        return sum(math.comb(len(t), 2) for t in self.tiers)
+        return sum(math.comb(k, 2) for k in Counter(self.rank).values())
 
     def linear_orders(self) -> Iterator[tuple[int, ...]]:
         """All linear extensions; tier permutations in lexicographic order."""
@@ -62,44 +89,45 @@ class TierList:
             yield tuple(itertools.chain.from_iterable(combo))
 
     def count_linear_orders(self) -> int:
-        prod = 1
-        for t in self.tiers:
-            prod *= math.factorial(len(t))
-        return prod
+        return math.prod(map(math.factorial, Counter(self.rank).values()))
 
 
-def _as_tier_list(raw) -> TierList:
-    if isinstance(raw, TierList):
-        return raw
-    return TierList(tuple(tuple(t) for t in raw))
+def _rows(raw: Sequence, n: int, label: str) -> tuple[TierList, ...]:
+    """One TierList over n agents per entry of ``raw`` (a TierList or its
+    tiers); an error names the agent."""
+    rows = []
+    for i, row in enumerate(raw):
+        try:
+            tl = row if isinstance(row, TierList) else TierList(row)
+            if len(tl.order) != n:
+                raise ValidationError(f"ranks {len(tl.order)} agents, not {n}")
+        except ValidationError as exc:
+            raise ValidationError(f"{label} {i + 1}: {exc}") from None
+        rows.append(tl)
+    return tuple(rows)
 
 
 class Instance:
     """A complete two-sided market: n men and n women with tier-list orders.
 
-    Immutable after construction.  Rank matrices (tier index of every
-    opposite-side agent) are precomputed so the predicates below run in
-    constant time per pair.
+    Immutable after construction.  ``men_rank`` and ``women_rank`` gather
+    the agents' rank rows, so the predicates below run in constant time per
+    pair.
     """
 
     def __init__(self, men: Sequence, women: Sequence):
-        self.men: tuple[TierList, ...] = tuple(_as_tier_list(t) for t in men)
-        self.women: tuple[TierList, ...] = tuple(_as_tier_list(t) for t in women)
-        if len(self.men) != len(self.women):
+        men, women = tuple(men), tuple(women)
+        if len(men) != len(women):
             raise ValidationError(
-                f"side sizes differ: {len(self.men)} men, {len(self.women)} women"
+                f"side sizes differ: {len(men)} men, {len(women)} women"
             )
-        n = len(self.men)
-        for i, tl in enumerate(self.men):
-            tl.validate(n, f"man {i + 1}")
-        for i, tl in enumerate(self.women):
-            tl.validate(n, f"woman {i + 1}")
+        n = len(men)
+        self.men: tuple[TierList, ...] = _rows(men, n, "man")
+        self.women: tuple[TierList, ...] = _rows(women, n, "woman")
         self.n = n
-        self.men_rank: tuple[tuple[int, ...], ...] = tuple(
-            tier_ranks(tl.tiers, n) for tl in self.men
-        )
+        self.men_rank: tuple[tuple[int, ...], ...] = tuple(tl.rank for tl in self.men)
         self.women_rank: tuple[tuple[int, ...], ...] = tuple(
-            tier_ranks(tl.tiers, n) for tl in self.women
+            tl.rank for tl in self.women
         )
         self._delta: Fraction | None = None
 
@@ -191,39 +219,26 @@ class Matching:
         return f"Matching({list(self.pairs)})"
 
 
-class Completion:
-    """One strict linear order per agent: a fully specified market."""
+class Completion(Instance):
+    """A completion: one strict linear order per agent, held as an instance
+    whose every tier is a singleton."""
 
-    def __init__(self, men_orders: Sequence[Sequence[int]],
-                 women_orders: Sequence[Sequence[int]]):
-        self.men_orders: tuple[tuple[int, ...], ...] = tuple(
-            tuple(o) for o in men_orders
+    def __init__(self, men_orders: Iterable[Iterable[int]],
+                 women_orders: Iterable[Iterable[int]]):
+        super().__init__(
+            [TierList.from_order(o) for o in men_orders],
+            [TierList.from_order(o) for o in women_orders],
         )
-        self.women_orders: tuple[tuple[int, ...], ...] = tuple(
-            tuple(o) for o in women_orders
-        )
-        n = len(self.men_orders)
-        if len(self.women_orders) != n:
-            raise ValidationError("completion sides differ in size")
-        for label, orders in (("man", self.men_orders), ("woman", self.women_orders)):
-            for i, order in enumerate(orders):
-                if sorted(order) != list(range(n)):
-                    raise ValidationError(f"{label} {i + 1}: not a permutation")
-        self.n = n
-        # a strict order is a tier list of singletons, which zip(order) yields
-        self.men_rank = tuple(tier_ranks(zip(o), n) for o in self.men_orders)
-        self.women_rank = tuple(tier_ranks(zip(o), n) for o in self.women_orders)
 
     def refines(self, inst: Instance) -> bool:
         """True iff every strict comparison of ``inst`` is preserved."""
         if inst.n != self.n:
             return False
-        for order, ranks in zip(self.men_orders, inst.men_rank):
-            if any(ranks[a] > ranks[b] for a, b in zip(order, order[1:])):
-                return False
-        for order, ranks in zip(self.women_orders, inst.women_rank):
-            if any(ranks[a] > ranks[b] for a, b in zip(order, order[1:])):
-                return False
+        for rows, ranks in ((self.men, inst.men_rank), (self.women, inst.women_rank)):
+            for tl, rank in zip(rows, ranks):
+                order = tl.order
+                if any(rank[a] > rank[b] for a, b in zip(order, order[1:])):
+                    return False
         return True
 
     def blocking_pairs(self, matching: Matching) -> list[tuple[int, int]]:
@@ -232,31 +247,6 @@ class Completion:
         An unmatched agent prefers every partner to staying single.
         """
         return _blocking_pairs(self.men_rank, self.women_rank, matching, strict=False)
-
-    def to_instance(self) -> Instance:
-        return Instance(
-            tuple(TierList.from_order(o) for o in self.men_orders),
-            tuple(TierList.from_order(o) for o in self.women_orders),
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Completion)
-            and self.men_orders == other.men_orders
-            and self.women_orders == other.women_orders
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.men_orders, self.women_orders))
-
-
-def tier_ranks(tiers: Iterable[Iterable[int]], n: int) -> tuple[int, ...]:
-    """Tier index of each of the n opposite-side agents, best tier first."""
-    out = [0] * n
-    for r, tier in enumerate(tiers):
-        for x in tier:
-            out[x] = r
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -360,15 +350,21 @@ def build_witness_completion(inst: Instance, matching: Matching) -> Completion:
         women_block.setdefault(w, set()).add(m)
 
     def complete(tl: TierList, partner: int | None, blockers: set[int]) -> tuple[int, ...]:
-        out: list[int] = []
-        for tier in tl.tiers:
-            if partner is not None and partner in tier:
-                out.extend(x for x in tier if x in blockers)
-                out.extend(x for x in tier if x not in blockers and x != partner)
-                out.append(partner)
-            else:
-                out.extend(tier)
-        return tuple(out)
+        order = tl.order
+        if partner is None:
+            return order
+        # the partner's tier is the run of order that shares its rank
+        rank_of, r = tl.rank.__getitem__, tl.rank[partner]
+        lo = bisect.bisect_left(order, r, key=rank_of)
+        hi = bisect.bisect_right(order, r, key=rank_of, lo=lo)
+        tier = order[lo:hi]
+        return (
+            order[:lo]
+            + tuple(x for x in tier if x in blockers)
+            + tuple(x for x in tier if x not in blockers and x != partner)
+            + (partner,)
+            + order[hi:]
+        )
 
     men_orders = tuple(
         complete(inst.men[m], matching.woman_of(m), men_block.get(m, set()))
@@ -391,8 +387,13 @@ def validate_one_sided_top_truncated(inst: Instance) -> bool:
     if not all(tl.is_strict for tl in inst.men):
         return False
     for tl in inst.women:
-        if any(len(t) != 1 for t in tl.tiers[:-1]):
-            return False
+        # tier indices rise by at most one per position, so every tier
+        # before the last is a singleton iff the last tier starts at the
+        # position equal to its index
+        if tl.order:
+            last = tl.rank[tl.order[-1]]
+            if tl.rank[tl.order[last]] != last:
+                return False
     return True
 
 
@@ -412,12 +413,10 @@ def restrict_instance(
     mmap = {old: new for new, old in enumerate(men_ids)}
 
     def cut(tl: TierList, keep: dict[int, int]) -> TierList:
-        tiers = []
-        for tier in tl.tiers:
-            kept = tuple(keep[x] for x in tier if x in keep)
-            if kept:
-                tiers.append(kept)
-        return TierList(tuple(tiers))
+        kept = [x for x in tl.order if x in keep]
+        return TierList(
+            [keep[x] for x in t] for _, t in itertools.groupby(kept, tl.rank.__getitem__)
+        )
 
     men = tuple(cut(inst.men[m], wmap) for m in men_ids)
     women = tuple(cut(inst.women[w], mmap) for w in women_ids)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .core import Completion, Instance, Matching, TierList, ValidationError
+from .core import Instance, Matching, TierList, ValidationError
 from .generators import ReductionCertificate
 from .solvers import SolveReport
 
@@ -14,8 +14,11 @@ REPORT_SCHEMA = 1
 
 
 def instance_to_dict(inst: Instance) -> dict:
+    """Also writes witness completions, whose rows are strict."""
+
     def side(tls) -> list:
-        return [[[x + 1 for x in tier] for tier in tl.tiers] for tl in tls]
+        return [[[x + 1] for x in tl.order] if tl.is_strict
+                else [[x + 1 for x in tier] for tier in tl.tiers] for tl in tls]
 
     return {"n": inst.n, "men": side(inst.men), "women": side(inst.women)}
 
@@ -41,7 +44,7 @@ def instance_from_dict(doc: dict) -> Instance:
         out = []
         for i, tiers in enumerate(raw):
             try:
-                tl = TierList(tuple(tuple(_integer(x) - 1 for x in t) for t in tiers))
+                tl = TierList([_integer(x) - 1 for x in t] for t in tiers)
             except (TypeError, ValueError) as exc:
                 raise ValidationError(
                     f"{agent} {i + 1}: malformed tiers ({exc})"
@@ -64,15 +67,6 @@ def matching_from_dict(doc: dict) -> Matching:
     return Matching(pairs)
 
 
-def completion_to_dict(completion: Completion) -> dict:
-    """Completions are stored in the instance format with singleton tiers."""
-    return {
-        "n": completion.n,
-        "men": [[[x + 1] for x in order] for order in completion.men_orders],
-        "women": [[[x + 1] for x in order] for order in completion.women_orders],
-    }
-
-
 def report_to_dict(report: SolveReport) -> dict:
     deleted = None
     if report.deleted_men is not None or report.deleted_women is not None:
@@ -89,7 +83,7 @@ def report_to_dict(report: SolveReport) -> dict:
             [m + 1, w + 1] for m, w in report.obvious_blocking_pairs
         ],
         "deleted_agents": deleted,
-        "witness_completion": completion_to_dict(report.witness_completion),
+        "witness_completion": instance_to_dict(report.witness_completion),
     }
 
 
@@ -171,7 +165,7 @@ def write_json(path: str | Path, doc: dict) -> None:
 def read_json(path: str | Path) -> dict:
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
 
 

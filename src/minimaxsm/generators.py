@@ -697,6 +697,8 @@ def gen_random(
     at the bottom of their lists.  Deterministic for a fixed seed.
     """
     delta_budget = Fraction(delta_budget)
+    if n < 0:
+        raise GeneratorError(f"n must be nonnegative, got {n}")
     if not 0 <= delta_budget <= 1:
         raise GeneratorError("delta budget must lie in [0, 1]")
     rng = random.Random(seed)
@@ -719,8 +721,8 @@ def gen_random(
         remaining -= cost
 
     inst = Instance(
-        tuple(TierList(tuple(map(tuple, t))) for t in men),
-        tuple(TierList(tuple(map(tuple, t))) for t in women),
+        tuple(TierList(t) for t in men),
+        tuple(TierList(t) for t in women),
     )
     assert compute_delta(inst) <= delta_budget
     if top_truncated:

@@ -16,10 +16,10 @@ from .core import (
     Completion,
     Instance,
     Matching,
+    TierList,
     approvals,
     restrict_instance,
     super_blocking_pairs,
-    tier_ranks,
 )
 
 
@@ -85,7 +85,7 @@ def max_bp_over_completions(
     def side_masks(side, partners, own_step: int, other_step: int) -> Iterator[int]:
         per_agent = []
         for a, (tl, partner) in enumerate(zip(side, partners)):
-            orders = [tier_ranks(zip(o), n) for o in tl.linear_orders()]
+            orders = [TierList.from_order(o).rank for o in tl.linear_orders()]
             per_agent.append([
                 sum(1 << (a * own_step + b * other_step) for b in approved)
                 for approved in approvals(orders, [partner] * len(orders))

@@ -9,7 +9,7 @@ import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     Completion,
@@ -81,19 +81,23 @@ class SolveReport:
 # Weakly-stable matching from an arbitrary completion
 # ---------------------------------------------------------------------------
 
-def _complete_orders(tl: TierList, rng: random.Random | None) -> tuple[int, ...]:
+def _complete_orders(tl: TierList, rng: random.Random | None) -> Sequence[int]:
+    if rng is None or tl.is_strict:
+        return tl.order
     out: list[int] = []
     for tier in tl.tiers:
-        members = list(tier)
-        if rng is not None:
-            rng.shuffle(members)
-        out.extend(members)
-    return tuple(out)
+        # shuffle draws no random number for one element, so skipping
+        # singletons leaves the seeded stream as it was
+        if len(tier) > 1:
+            tier = list(tier)
+            rng.shuffle(tier)
+        out += tier
+    return out
 
 
 def _deferred_acceptance(
-    men_orders: tuple[tuple[int, ...], ...],
-    women_rank: tuple[tuple[int, ...], ...],
+    men_orders: Sequence[Sequence[int]],
+    women_rank: Sequence[Sequence[int]],
 ) -> Matching:
     """Man-proposing deferred acceptance on strict complete lists."""
     n = len(men_orders)
@@ -123,10 +127,12 @@ def gale_shapley_completion(inst: Instance, seed: int | None = None) -> SolveRep
     original instance; it is weakly stable by construction.
     """
     rng = random.Random(seed) if seed is not None else None
-    men_orders = tuple(_complete_orders(tl, rng) for tl in inst.men)
-    women_orders = tuple(_complete_orders(tl, rng) for tl in inst.women)
-    completion = Completion(men_orders, women_orders)
-    matching = _deferred_acceptance(completion.men_orders, completion.women_rank)
+    completion = Completion(
+        [_complete_orders(tl, rng) for tl in inst.men],
+        [_complete_orders(tl, rng) for tl in inst.women],
+    )
+    men_orders = [tl.order for tl in completion.men]
+    matching = _deferred_acceptance(men_orders, completion.women_rank)
     return SolveReport.build(inst, matching, "gs")
 
 
@@ -214,13 +220,9 @@ def _demote(inst: Instance, pairs: tuple[tuple[int, int], ...]) -> Instance:
     def rebuilt(tl: TierList, drop: set[int]) -> TierList:
         if not drop:
             return tl
-        tiers = [
-            kept
-            for tier in tl.tiers
-            if (kept := tuple(x for x in tier if x not in drop))
-        ]
-        tiers.append(tuple(sorted(drop)))
-        return TierList(tuple(tiers))
+        kept = [x for x in tl.order if x not in drop]
+        tiers = [list(t) for _, t in itertools.groupby(kept, tl.rank.__getitem__)]
+        return TierList([*tiers, drop])
 
     men = tuple(rebuilt(tl, men_drop.get(m, set())) for m, tl in enumerate(inst.men))
     women = tuple(
@@ -265,10 +267,10 @@ class WorkingInstance:
         self.inst = inst
         self.n = inst.n
         self.men_lists: list[dict[int, None]] = [
-            dict.fromkeys(itertools.chain.from_iterable(tl.tiers)) for tl in inst.men
+            dict.fromkeys(tl.order) for tl in inst.men
         ]
         self.women_lists: list[dict[int, None]] = [
-            dict.fromkeys(itertools.chain.from_iterable(tl.tiers)) for tl in inst.women
+            dict.fromkeys(tl.order) for tl in inst.women
         ]
 
     def _side(self, side: str):

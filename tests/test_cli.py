@@ -3,13 +3,18 @@
 import csv
 import hashlib
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import minimaxsm
 from minimaxsm import Instance, Matching, ValidationError
 from minimaxsm.cli import main
 from minimaxsm.files import (
@@ -285,6 +290,42 @@ def test_solve_rejects_malformed_row(tmp_path, capsys, agent, row):
     ipath.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["solve", "--algo", "gs", "--input", str(ipath)]) == 2
     assert f"error: {agent}:" in capsys.readouterr().err
+
+
+def _bad_kmax(tmp_path):
+    ipath = tmp_path / "i.json"
+    save_instance(strict([[0, 1], [0, 1]], [[0, 1], [0, 1]]), ipath)
+    return ["solve", "--algo", "exact", "--kmax", "-1", "--input", str(ipath)]
+
+
+def _latin1_input(tmp_path):
+    ipath = tmp_path / "i.json"
+    ipath.write_bytes('{"n": 1, "men": [[[1]]], "women": [[[1]]], "by": "\u00e9"}'
+                      .encode("latin-1"))
+    return ["solve", "--algo", "gs", "--input", str(ipath)]
+
+
+MALFORMED_RUNS = {
+    "negative-kmax": _bad_kmax,
+    "negative-n": lambda tmp_path: ["gen", "--family", "random", "--n", "-1",
+                                    "--delta", "1/4", "-o", str(tmp_path / "o.json")],
+    "directory-input": lambda tmp_path: ["solve", "--algo", "gs",
+                                         "--input", str(tmp_path)],
+    "not-utf8": _latin1_input,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_RUNS))
+def test_malformed_input_exits_2_with_a_message(case, tmp_path):
+    """Run as a program, so that an uncaught exception shows as a traceback."""
+    src = Path(minimaxsm.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "minimaxsm.cli", *MALFORMED_RUNS[case](tmp_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 2
+    assert re.search(r"^error: ", proc.stderr, re.M)
+    assert "Traceback" not in proc.stderr
 
 
 def test_instance_n_must_be_an_integer():

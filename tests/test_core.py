@@ -1,6 +1,7 @@
 """Core model: delta measure, blocking-pair predicates, witness completions."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from minimaxsm import (
     validate_one_sided_top_truncated,
 )
 from minimaxsm.core import approvals
+from minimaxsm.files import instance_from_dict, instance_to_dict
 from minimaxsm.generators import gen_fig1, gen_fig4, gen_random
 from minimaxsm.oracles import max_bp_over_completions
 
@@ -72,6 +74,60 @@ def test_delta_is_one_when_nothing_is_ranked():
     full = TierList((tuple(range(3)),))
     inst = Instance([full] * 3, [full] * 3)
     assert compute_delta(inst) == 1
+
+
+# ---------------------------------------------------------------------------
+# the row model
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _tiers(draw, n):
+    """Tiers over 0..n-1 in a random order, each in a random inner order."""
+    order = draw(st.permutations(range(n)))
+    cuts = draw(st.lists(st.booleans(), min_size=max(n - 1, 0), max_size=max(n - 1, 0)))
+    tiers = [list(order[:1])]
+    for x, cut in zip(order[1:], cuts):
+        if cut:
+            tiers.append([x])
+        else:
+            tiers[-1].append(x)
+    return tiers if n else []
+
+
+@st.composite
+def _markets(draw):
+    n = draw(st.integers(0, 6))
+    return n, [draw(_tiers(n)) for _ in range(n)], [draw(_tiers(n)) for _ in range(n)]
+
+
+@given(_markets(), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_rows_match_tiers(market, rnd):
+    n, men, women = market
+    for tiers in men + women:
+        tl = TierList(tiers)
+        assert tl.tiers == tuple(tuple(sorted(t)) for t in tiers)
+        tier_of = {x: i for i, t in enumerate(tiers) for x in t}
+        assert list(tl.rank) == [tier_of[x] for x in range(n)]
+        ranks = [tl.rank[x] for x in tl.order]
+        assert ranks == sorted(ranks)
+        for a, b in itertools.product(range(n), repeat=2):
+            assert (tl.rank[a] == tl.rank[b]) == (tier_of[a] == tier_of[b])
+        flat = [x for t in tiers for x in t]
+        assert TierList.from_order(flat) == TierList(zip(flat))
+        assert tl.is_strict == all(len(t) == 1 for t in tiers)
+        assert tl.missing_pairs() == sum(len(t) * (len(t) - 1) // 2 for t in tiers)
+        assert tl.count_linear_orders() == math.prod(
+            math.factorial(len(t)) for t in tiers
+        )
+    inst = Instance(men, women)
+    assert instance_from_dict(instance_to_dict(inst)) == inst
+    # a completion: each tier in a random order
+    m, w = ([[x for t in tl.tiers for x in rnd.sample(t, len(t))] for tl in side]
+            for side in (inst.men, inst.women))
+    comp = Completion(m, w)
+    assert comp == Instance([zip(o) for o in m], [zip(o) for o in w])
+    assert comp.refines(inst)
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +349,6 @@ def test_completion_refines_detects_violation():
 
 def test_completion_to_instance_round_trip():
     comp = Completion([(1, 0), (0, 1)], [(0, 1), (1, 0)])
-    inst = comp.to_instance()
+    inst = Instance(comp.men, comp.women)
     assert inst.is_strict
     assert inst.men_rank[0][1] == 0

@@ -35,7 +35,7 @@ def test_strict_instance_has_one_completion():
     inst = strict([[0, 1], [1, 0]], [[0, 1], [0, 1]])
     comps = list(enumerate_completions(inst))
     assert len(comps) == 1
-    assert comps[0].to_instance() == inst
+    assert comps[0] == inst
 
 
 def test_single_two_tie_has_two_completions():
@@ -138,8 +138,8 @@ def test_max_bp_equals_super_bp_count(mixed_corpus):
         completions = []
         if idx < 12:
             completions = [
-                ([tuple(zip(o)) for o in c.men_orders],
-                 [tuple(zip(o)) for o in c.women_orders])
+                ([tuple(zip(tl.order)) for tl in c.men],
+                 [tuple(zip(tl.order)) for tl in c.women])
                 for c in enumerate_completions(inst)
             ]
         for matching in _some_matchings(inst.n):

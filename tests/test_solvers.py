@@ -5,7 +5,9 @@ import hashlib
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -560,3 +562,15 @@ def test_pipeline_is_weakly_stable_and_covers_at_n5_6(n, seed):
     assert is_weakly_stable(inst, report.matching)
     dm, dw = set(report.deleted_men), set(report.deleted_women)
     assert all(m in dm or w in dw for m, w in report.super_blocking_pairs)
+
+
+def test_readme_example(capsys):
+    """README's library example prints what its comments say."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    code = re.search(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)[1]
+    expected = re.findall(r"^print\(.*# (>= )?(\d+)", code, re.M)
+    exec(code, {})
+    printed = [int(line) for line in capsys.readouterr().out.split()]
+    assert len(printed) == len(expected) == 3
+    for value, (at_least, bound) in zip(printed, expected):
+        assert value >= int(bound) if at_least else value == int(bound)
