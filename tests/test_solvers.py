@@ -28,6 +28,7 @@ from minimaxsm import (
     min_vertex_cover_bipartite,
     propose_with,
     super_stable_solve,
+    validate_one_sided_top_truncated,
 )
 from minimaxsm.oracles import (
     OracleBudget,
@@ -36,7 +37,12 @@ from minimaxsm.oracles import (
     min_super_bp,
 )
 from minimaxsm.files import matching_to_dict, report_to_dict
-from minimaxsm.solvers import DegenerateInstanceError, PreconditionError, _demote
+from minimaxsm.solvers import (
+    DegenerateInstanceError,
+    PreconditionError,
+    _demote,
+    eliminate_rotation,
+)
 from minimaxsm.generators import gen_fig1, gen_fig4, gen_random
 
 from conftest import (
@@ -369,6 +375,53 @@ def test_pipeline_exits_with_consistent_singletons(top_truncated_corpus):
     assert sorted(women_seen) == list(range(inst.n))
 
 
+def _restarted_stages(inst):
+    """The pipeline with every pass restarted from all agents: two full
+    ``propose_with`` passes after each rotation."""
+    if not validate_one_sided_top_truncated(inst):
+        raise PreconditionError("not one-sided top-truncated")
+    work = WorkingInstance(inst)
+    yield "start", work
+    while True:
+        propose_with(work, "men")
+        yield "propose-men", work
+        propose_with(work, "women")
+        yield "propose-women", work
+        rotation = find_exposed_rotation(work)
+        if rotation is None:
+            return
+        eliminate_rotation(work, rotation)
+        yield "rotation", work
+
+
+def _snapshots(stages):
+    """Each stage's label and surviving pairs, ended by the type of any
+    exception raised."""
+    out = []
+    try:
+        for label, work in stages:
+            out.append((label, work.pair_set()))
+    except Exception as exc:
+        out.append(type(exc))
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_deletion_stages_match_restarted_passes(n):
+    for seed in range(400):
+        inst = bottom_tie_market(n, random.Random(seed))
+        assert _snapshots(deletion_stages(inst)) == _snapshots(
+            _restarted_stages(inst)), seed
+
+
+def test_deletion_stages_match_restarted_passes_top_truncated():
+    for n in (3, 5, 8, 13, 21, 40):
+        for seed in range(5):
+            inst = gen_random(n, Fraction(1, 2), seed=seed, top_truncated=True)
+            assert _snapshots(deletion_stages(inst)) == _snapshots(
+                _restarted_stages(inst)), (n, seed)
+
+
 def test_size_preservation_defect_is_still_present():
     """The per-pass invariant the pipeline is built around fails on long ties.
 
@@ -514,17 +567,24 @@ SCALE_CASES = {
         min_delete_approx(bottom_tie_market(100, random.Random(3)))),
     "algo1-fig4-40": lambda: report_to_dict(
         min_delete_approx(gen_fig4(40, Fraction(1, 4))[0])),
+    "algo1-bottom-tie-200": lambda: report_to_dict(
+        min_delete_approx(bottom_tie_market(200, random.Random(1)))),
+    "algo1-fig4-200": lambda: report_to_dict(
+        min_delete_approx(gen_fig4(200, Fraction(1, 4))[0])),
     "super-stable-found": lambda: matching_to_dict(
         super_stable_solve(_super_stable_market(100, random.Random(4)))),
 }
 
 # Taken from the nested-tier working lists that the dict-per-agent lists
-# replaced; any change to the working lists must reproduce them.
+# replaced (the two n=200 cases from the pipeline that restarted every
+# proposal pass); any change to the working lists must reproduce them.
 SCALE_DIGESTS = {
     "algo1-bottom-tie-1": "78e687a939e60305",
     "algo1-bottom-tie-2": "b905929543272afa",
     "algo1-bottom-tie-3": "b65d1b220298d6e3",
     "algo1-fig4-40": "beac2730f8f2c1f0",
+    "algo1-bottom-tie-200": "acc9d70d76706c0d",
+    "algo1-fig4-200": "e2f4b070bb222baf",
     "super-stable-found": "77751c6143bebfc7",
 }
 
