@@ -311,23 +311,20 @@ class WorkingInstance:
 # Deletion pipeline for one-sided bottom ties
 # ---------------------------------------------------------------------------
 
-def propose_with(work: WorkingInstance, side: str) -> WorkingInstance:
-    """One proposal-and-deletion pass from the given side, in place.
+def _resume_proposals(
+    work: WorkingInstance,
+    side: str,
+    fiancee: list[int | None],
+    fiance: list[int | None],
+) -> None:
+    """The proposal loop of ``propose_with``, resumed from the engagements of
+    an earlier pass on the same lists: ``fiancee`` maps each proposer to its
+    acceptor and ``fiance`` each acceptor to its proposer.
 
-    A free agent proposes to the first entry of its list.  An acceptor
-    holding a fiance it cannot rank against the proposer rejects the proposer
-    (deleting that pair); otherwise it accepts and deletes every strictly
-    worse entry.  A final one-pass sweep removes, for each man, any remaining
-    men his first woman ties with him, which clears all surviving ties.
-
-    The proposing side must be tie-free: men always are for one-sided
-    bottom-tie inputs, and women are once the men's pass has run.
+    Only agents with no engagement, or whose engagement pair has been deleted
+    since, propose.  Deletion only shrinks lists, so a surviving engagement
+    still has nothing worse than the fiance on the acceptor's list.
     """
-    if side not in ("men", "women"):
-        raise ValueError(f"unknown side {side!r}")
-    n = work.n
-    if not work.side_is_strict(side):
-        raise PreconditionError(f"{side} still have ties; cannot propose")
     inst = work.inst
     if side == "men":
         forward, acceptors = work.men_lists, "women"
@@ -338,9 +335,10 @@ def propose_with(work: WorkingInstance, side: str) -> WorkingInstance:
         acceptor_rank = inst.men_rank
         orient = lambda a, b: (b, a)
 
-    fiancee: list[int | None] = [None] * n
-    fiance: list[int | None] = [None] * n
-    free = deque(range(n))
+    for a, b in enumerate(fiancee):
+        if b is not None and b not in forward[a]:
+            fiancee[a] = fiance[b] = None
+    free = deque(a for a, b in enumerate(fiancee) if b is None)
     while free:
         a = free.popleft()
         if fiancee[a] is not None:
@@ -363,16 +361,45 @@ def propose_with(work: WorkingInstance, side: str) -> WorkingInstance:
         fiancee[a] = b
         work.cut_tail(acceptors, b, acceptor_rank[b][a] + 1)
 
+
+def _checked_pass(
+    work: WorkingInstance,
+    side: str,
+    fiancee: list[int | None],
+    fiance: list[int | None],
+) -> None:
+    """Check that ``side`` is tie-free, resume its proposals, then sweep
+    the ties."""
+    if side not in ("men", "women"):
+        raise ValueError(f"unknown side {side!r}")
+    if not work.side_is_strict(side):
+        raise PreconditionError(f"{side} still have ties; cannot propose")
+    _resume_proposals(work, side, fiancee, fiance)
     # Tie sweep: a woman's surviving tie can only contain her fiance's
     # tier-mates; one pass removes them all.
-    for m in range(n):
+    for m in range(work.n):
         if not work.men_lists[m]:
             raise DegenerateInstanceError(f"man {m + 1} ran out of candidates")
         w = next(iter(work.men_lists[m]))
-        wr = inst.women_rank[w]
+        wr = work.inst.women_rank[w]
         tied = [m2 for m2 in work.women_lists[w] if m2 != m and wr[m2] == wr[m]]
         for m2 in tied:
             work.delete(m2, w)
+
+
+def propose_with(work: WorkingInstance, side: str) -> WorkingInstance:
+    """One proposal-and-deletion pass from the given side, in place.
+
+    A free agent proposes to the first entry of its list.  An acceptor
+    holding a fiance it cannot rank against the proposer rejects the proposer
+    (deleting that pair); otherwise it accepts and deletes every strictly
+    worse entry.  A final one-pass sweep removes, for each man, any remaining
+    men his first woman ties with him, which clears all surviving ties.
+
+    The proposing side must be tie-free: men always are for one-sided
+    bottom-tie inputs, and women are once the men's pass has run.
+    """
+    _checked_pass(work, side, [None] * work.n, [None] * work.n)
     return work
 
 
@@ -490,37 +517,50 @@ def deletion_stages(inst: Instance) -> Iterator[tuple[str, WorkingInstance]]:
     Yields a stage label ("start", "propose-men", "propose-women" or
     "rotation") and the working lists after every step: a men's pass and a
     women's pass, then one exposed rotation eliminated before the next two
-    passes, until no rotation remains.  Later steps change the yielded lists
-    in place.  The precondition is checked on the first ``next``.
+    passes, until no rotation remains.  Each side's passes resume its
+    engagements from its previous pass, so their total cost is the
+    deletions.  Later steps change the yielded lists in place.  The
+    precondition is checked on the first ``next``.
     """
     if not validate_one_sided_top_truncated(inst):
         raise PreconditionError(
             "input must have strict men and women with at most one trailing tie"
         )
+    n = inst.n
     work = WorkingInstance(inst)
     yield "start", work
+    # each side's engagements: proposer to acceptor, acceptor to proposer
+    men, women = ([None] * n, [None] * n), ([None] * n, [None] * n)
+    step = _checked_pass
     while True:
-        propose_with(work, "men")
+        step(work, "men", *men)
         yield "propose-men", work
-        propose_with(work, "women")
+        step(work, "women", *women)
         yield "propose-women", work
         rotation = find_exposed_rotation(work)
         if rotation is None:
             return
         eliminate_rotation(work, rotation)
         yield "rotation", work
+        # The first men's pass leaves every list tie-free, so from here on
+        # a sweep deletes nothing and a check cannot fail; only the
+        # rotation's men, whose engagements it deleted, propose again.
+        step = _resume_proposals
 
 
 def min_delete_approx(inst: Instance) -> SolveReport:
     """Deletion pipeline for one-sided bottom-tie instances.
 
-    Alternating proposal passes and rotation eliminations shrink the lists
-    while preserving the size of the largest internally super-stable matching
-    they contain; when no rotation remains every list is a singleton and
-    those singletons form a weakly stable matching.  The returned deletion
+    Alternating proposal passes and rotation eliminations shrink the lists.
+    They are meant to preserve the size of the largest internally
+    super-stable matching the lists contain, but a tie of length three or
+    more can break that (``test_size_preservation_defect_is_still_present``).
+    When no rotation remains every list is a singleton and those singletons
+    form a weakly stable matching.  The returned deletion
     set is a minimum vertex cover of the matching's super-blocking-pair
-    graph, expanded by the matched partners; it is at most twice the optimal
-    deletion set.
+    graph, expanded by the matched partners.  The paper claims it is at most
+    twice the optimal deletion set; this implementation fails that on the
+    n=3 market of ``test_pipeline_two_approximation_counterexample``.
     """
     for _, work in deletion_stages(inst):
         pass
