@@ -108,7 +108,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
             raise ValidationError("--graph is required for family vc")
         if args.k0 is None or args.y is None or args.z is None:
             raise ValidationError("--k0, --y and --z are required for family vc")
-        graph = UndirectedGraph.from_text(Path(args.graph).read_text(encoding="utf-8"))
+        try:
+            text = Path(args.graph).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{args.graph}: not UTF-8 text ({exc})") from exc
+        graph = UndirectedGraph.from_text(text)
         inst, cert = gen_vc_reduction(
             graph, args.k0, args.y, args.z, args.figure_verbatim
         )

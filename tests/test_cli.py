@@ -305,6 +305,13 @@ def _latin1_input(tmp_path):
     return ["solve", "--algo", "gs", "--input", str(ipath)]
 
 
+def _latin1_graph(tmp_path):
+    graph = tmp_path / "g.txt"
+    graph.write_bytes(b"3 3\n1 2\xff\n")
+    return ["gen", "--family", "vc", "--graph", str(graph), "--k0", "2",
+            "--y", "4", "--z", "2", "-o", str(tmp_path / "vc.json")]
+
+
 MALFORMED_RUNS = {
     "negative-kmax": _bad_kmax,
     "negative-n": lambda tmp_path: ["gen", "--family", "random", "--n", "-1",
@@ -312,6 +319,7 @@ MALFORMED_RUNS = {
     "directory-input": lambda tmp_path: ["solve", "--algo", "gs",
                                          "--input", str(tmp_path)],
     "not-utf8": _latin1_input,
+    "not-utf8-graph": _latin1_graph,
 }
 
 
