@@ -341,8 +341,6 @@ def _resume_proposals(
     free = deque(a for a, b in enumerate(fiancee) if b is None)
     while free:
         a = free.popleft()
-        if fiancee[a] is not None:
-            continue
         if not forward[a]:
             raise DegenerateInstanceError(
                 f"proposing agent {a + 1} on the {side} side ran out of candidates"
