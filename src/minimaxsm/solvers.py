@@ -554,11 +554,11 @@ def min_delete_approx(inst: Instance) -> SolveReport:
     super-stable matching the lists contain, but a tie of length three or
     more can break that (``test_size_preservation_defect_is_still_present``).
     When no rotation remains every list is a singleton and those singletons
-    form a weakly stable matching.  The returned deletion
-    set is a minimum vertex cover of the matching's super-blocking-pair
-    graph, expanded by the matched partners.  The paper claims it is at most
-    twice the optimal deletion set; this implementation fails that on the
-    n=3 market of ``test_pipeline_two_approximation_counterexample``.
+    form a weakly stable matching.  The returned deletion set is a minimum
+    vertex cover of the matching's super-blocking-pair graph, expanded by
+    the matched partners.  The paper claims it is at most twice the optimal
+    deletion set; this implementation fails that on the n=3 market of
+    ``test_pipeline_two_approximation_counterexample``.
     """
     for _, work in deletion_stages(inst):
         pass
