@@ -458,6 +458,16 @@ def _verify_args(tmp_path):
     return ["verify", "--input", str(ipath), "--matching", str(mpath)]
 
 
+def _verify_partial_args(tmp_path):
+    """About ten agents per side left unmatched."""
+    rng = random.Random(4)
+    ipath, mpath = tmp_path / "i.json", tmp_path / "m.json"
+    save_instance(two_sided_tie_market(100, rng), ipath)
+    men, women = rng.sample(range(100), 90), rng.sample(range(100), 90)
+    save_matching(Matching(list(zip(men, women))), mpath)
+    return ["verify", "--input", str(ipath), "--matching", str(mpath)]
+
+
 def _gen_vc_args(tmp_path):
     graph = tmp_path / "tri.txt"
     graph.write_text("3 3\n1 2\n1 3\n2 3\n", encoding="utf-8")
@@ -480,6 +490,7 @@ WRITTEN_CASES = {
         _solve_args("exact", lambda: gen_fig1(8, Fraction(1, 4)), "--kmax", "2"),
         "out.json", "aa6e5673353cde66"),
     "verify": (_verify_args, "out.json", "5a901eab9ef52a07"),
+    "verify-partial": (_verify_partial_args, "out.json", "86c51649c70c1a1d"),
     "gen-vc-cert": (_gen_vc_args, "out.cert.json", "74cb7bf7f9d687b8"),
 }
 
@@ -496,3 +507,20 @@ def test_written_files_are_byte_identical(case, tmp_path, capsys):
         capsys.readouterr()
         assert main(args) == 0
         assert capsys.readouterr().out == raw.decode("utf-8")
+
+
+# bench arguments -> SHA-256 prefix of the CSV with its last column,
+# runtime_ms, cut from every line.
+BENCH_DIGESTS = {
+    ("--suite", "paper"): "5e3081d5bd8b9f56",
+    ("--suite", "random", "--seed", "5"): "5d456b9589b1cdd1",
+}
+
+
+@pytest.mark.parametrize("args", sorted(BENCH_DIGESTS), ids="-".join)
+def test_bench_csv_is_byte_identical_but_for_runtime(args, tmp_path):
+    out = tmp_path / "bench.csv"
+    assert main(["bench", *args, "--out", str(out)]) == 0
+    lines = out.read_bytes().split(b"\n")
+    stable = b"\n".join(line.rpartition(b",")[0] for line in lines)
+    assert hashlib.sha256(stable).hexdigest()[:16] == BENCH_DIGESTS[args]
