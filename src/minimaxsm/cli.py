@@ -13,15 +13,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .core import (
-    Instance,
-    ValidationError,
-    build_witness_completion,
-    compute_delta,
-    count_super_blocking_pairs,
-    obvious_blocking_pairs,
-    super_blocking_pairs,
-)
+from .core import Instance, ValidationError, compute_delta
 from . import files
 from .generators import (
     GeneratorError,
@@ -43,6 +35,7 @@ from .oracles import (
 from .solvers import (
     DegenerateInstanceError,
     PreconditionError,
+    SolveReport,
     exact_min_super_bp,
     gale_shapley_completion,
     min_delete_approx,
@@ -188,16 +181,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     inst = files.load_instance(args.input)
     matching = files.load_matching(args.matching)
     matching.validate_for(inst.n)
-    sbps = super_blocking_pairs(inst, matching)
-    obps = obvious_blocking_pairs(inst, matching)
-    witness = build_witness_completion(inst, matching)
+    report = SolveReport.build(inst, matching, "verify")
+    obps, sbps = report.obvious_blocking_pairs, report.super_blocking_pairs
     doc = {
         "schema": files.REPORT_SCHEMA,
         "weakly_stable": not obps,
         "super_stable": not sbps,
         "obvious_blocking_pairs": [[m + 1, w + 1] for m, w in obps],
         "super_blocking_pairs": [[m + 1, w + 1] for m, w in sbps],
-        "witness_completion": files.instance_to_dict(witness),
+        "witness_completion": files.instance_to_dict(report.witness_completion),
     }
     _emit(doc, args.output)
     return 0
@@ -207,23 +199,21 @@ def _row(
     row_id: str,
     family: str,
     inst: Instance,
-    algorithm: str,
-    super_count: int,
-    obvious_count: int,
+    report: SolveReport,
     runtime_ms: float,
     oracle_optimum: int | None = None,
 ) -> dict:
     ratio = ""
     if oracle_optimum is not None:
-        ratio = str(Fraction(super_count, max(1, oracle_optimum)))
+        ratio = str(Fraction(report.super_bp_count, max(1, oracle_optimum)))
     return {
         "id": row_id,
         "family": family,
         "n": inst.n,
         "delta": str(compute_delta(inst)),
-        "algorithm": algorithm,
-        "super_bp_count": super_count,
-        "obvious_bp_count": obvious_count,
+        "algorithm": report.algorithm,
+        "super_bp_count": report.super_bp_count,
+        "obvious_bp_count": len(report.obvious_blocking_pairs),
         "oracle_optimum": "" if oracle_optimum is None else oracle_optimum,
         "ratio": ratio,
         "runtime_ms": f"{runtime_ms:.3f}",
@@ -242,37 +232,27 @@ def _bench_paper() -> list[dict]:
 
     inst8 = gen_fig1(8, quarter)
     report, ms = _timed_report(lambda: gale_shapley_completion(inst8, seed=0))
-    rows.append(_row("fig1-n8-gs", "fig1", inst8, "gs", report.super_bp_count,
-                     len(report.obvious_blocking_pairs), ms))
+    rows.append(_row("fig1-n8-gs", "fig1", inst8, report, ms))
     report, ms = _timed_report(lambda: exact_min_super_bp(inst8, k_max=2))
-    rows.append(_row("fig1-n8-exact", "fig1", inst8, "exact", report.super_bp_count,
-                     len(report.obvious_blocking_pairs), ms))
+    rows.append(_row("fig1-n8-exact", "fig1", inst8, report, ms))
 
     inst16 = gen_fig1(16, quarter)
     report, ms = _timed_report(lambda: gale_shapley_completion(inst16, seed=0))
-    rows.append(_row("fig1-n16-gs", "fig1", inst16, "gs", report.super_bp_count,
-                     len(report.obvious_blocking_pairs), ms))
+    rows.append(_row("fig1-n16-gs", "fig1", inst16, report, ms))
 
     inst3 = gen_fig3(16, Fraction(1, 256))
     report, ms = _timed_report(lambda: gale_shapley_completion(inst3, seed=0))
-    rows.append(_row("fig3-n16-gs", "fig3", inst3, "gs", report.super_bp_count,
-                     len(report.obvious_blocking_pairs), ms))
+    rows.append(_row("fig3-n16-gs", "fig3", inst3, report, ms))
 
     inst4, _ = gen_fig4(16, quarter)
     report, ms = _timed_report(lambda: min_delete_approx(inst4))
-    rows.append(_row("fig4-n16-algo1", "fig4", inst4, "algo1", report.super_bp_count,
-                     len(report.obvious_blocking_pairs), ms))
+    rows.append(_row("fig4-n16-algo1", "fig4", inst4, report, ms))
 
     triangle = UndirectedGraph(k=3, edges=((0, 1), (0, 2), (1, 2)))
     instv, cert = gen_vc_reduction(triangle, k0=2, y=4, z=2)
-
-    def certify_yes_cover():
-        yes = build_yes_matching(instv, cert, cover=(0, 1))
-        obvious = obvious_blocking_pairs(instv, yes)
-        return count_super_blocking_pairs(instv, yes), len(obvious)
-
-    (count, obvious), ms = _timed_report(certify_yes_cover)
-    rows.append(_row("vc-k3-yes", "vc", instv, "yes-cover", count, obvious, ms))
+    report, ms = _timed_report(lambda: SolveReport.build(
+        instv, build_yes_matching(instv, cert, cover=(0, 1)), "yes-cover"))
+    rows.append(_row("vc-k3-yes", "vc", instv, report, ms))
     return rows
 
 
@@ -283,13 +263,11 @@ def _bench_random(seed: int) -> list[dict]:
         inst = gen_random(n, Fraction(1, 4), seed=seed * 1000 + idx)
         optimum, _ = min_super_bp(inst)
         report, ms = _timed_report(lambda: gale_shapley_completion(inst, seed=seed))
-        rows.append(_row(f"random-{idx}-gs", "random", inst, "gs",
-                         report.super_bp_count, len(report.obvious_blocking_pairs),
-                         ms, oracle_optimum=optimum))
+        rows.append(_row(f"random-{idx}-gs", "random", inst, report, ms,
+                         oracle_optimum=optimum))
         report, ms = _timed_report(lambda: exact_min_super_bp(inst))
-        rows.append(_row(f"random-{idx}-exact", "random", inst, "exact",
-                         report.super_bp_count, len(report.obvious_blocking_pairs),
-                         ms, oracle_optimum=optimum))
+        rows.append(_row(f"random-{idx}-exact", "random", inst, report, ms,
+                         oracle_optimum=optimum))
     return rows
 
 

@@ -331,9 +331,11 @@ def is_super_stable(inst: Instance, matching: Matching) -> bool:
 # Worst-case completion
 # ---------------------------------------------------------------------------
 
-def build_witness_completion(inst: Instance, matching: Matching) -> Completion:
-    """A completion under which the matching has exactly as many blocking
-    pairs as it has super-blocking pairs under ``inst``.
+def build_witness_completion(
+    inst: Instance, matching: Matching, sbps: Iterable[tuple[int, int]]
+) -> Completion:
+    """A completion under which the matching blocks on exactly ``sbps``, its
+    super-blocking pairs under ``inst``.
 
     For every super-blocking pair, any incomparability with the current
     partner is resolved in favour of the blocking agent; all remaining ties
@@ -342,7 +344,6 @@ def build_witness_completion(inst: Instance, matching: Matching) -> Completion:
     the partner).  Any refinement rule would do: a completion can never block
     on pairs that are not super-blocking.
     """
-    sbps = super_blocking_pairs(inst, matching)
     men_block: dict[int, set[int]] = {}
     women_block: dict[int, set[int]] = {}
     for m, w in sbps:

@@ -165,7 +165,9 @@ def write_json(path: str | Path, doc: dict) -> None:
 def read_json(path: str | Path) -> dict:
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and an integer
+        # literal past the interpreter's digit limit; RecursionError deep nesting
         raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
@@ -50,26 +50,23 @@ class SolveReport:
     deleted_women: tuple[int, ...] | None = None
 
     @classmethod
-    def build(
-        cls,
-        inst: Instance,
-        matching: Matching,
-        algorithm: str,
-        deleted_men: Iterable[int] | None = None,
-        deleted_women: Iterable[int] | None = None,
-    ) -> "SolveReport":
-        sbps = tuple(super_blocking_pairs(inst, matching))
-        obps = tuple(obvious_blocking_pairs(inst, matching))
-        witness = build_witness_completion(inst, matching)
-        assert len(witness.blocking_pairs(matching)) == len(sbps)
+    def build(cls, inst: Instance, matching: Matching, algorithm: str) -> "SolveReport":
+        """Certify ``matching``: the one super-blocking scan feeds the witness,
+        and the witness's blocking pairs must recount exactly those pairs."""
+        sbps = super_blocking_pairs(inst, matching)
+        witness = build_witness_completion(inst, matching, sbps)
+        recount = witness.blocking_pairs(matching)
+        if recount != sbps:
+            raise RuntimeError(
+                f"witness completion blocks on {len(recount)} pairs, not on the "
+                f"{len(sbps)} super-blocking pairs it certifies"
+            )
         return cls(
             algorithm=algorithm,
             matching=matching,
-            super_blocking_pairs=sbps,
-            obvious_blocking_pairs=obps,
+            super_blocking_pairs=tuple(sbps),
+            obvious_blocking_pairs=tuple(obvious_blocking_pairs(inst, matching)),
             witness_completion=witness,
-            deleted_men=None if deleted_men is None else tuple(sorted(deleted_men)),
-            deleted_women=None if deleted_women is None else tuple(sorted(deleted_women)),
         )
 
     @property
@@ -567,17 +564,12 @@ def min_delete_approx(inst: Instance) -> SolveReport:
     matching = Matching(work.pair_set())
     assert matching.is_perfect(inst.n)
 
-    bps = super_blocking_pairs(inst, matching)
-    cover_men, cover_women = min_vertex_cover_bipartite(bps)
-    deleted_men = set(cover_men)
-    deleted_women = set(cover_women)
-    for m in cover_men:
-        deleted_women.add(matching.woman_of(m))
-    for w in cover_women:
-        deleted_men.add(matching.man_of(w))
-    return SolveReport.build(
-        inst, matching, "algo1", deleted_men=deleted_men, deleted_women=deleted_women
-    )
+    report = SolveReport.build(inst, matching, "algo1")
+    cover_men, cover_women = min_vertex_cover_bipartite(report.super_blocking_pairs)
+    deleted_men = cover_men | {matching.man_of(w) for w in cover_women}
+    deleted_women = cover_women | {matching.woman_of(m) for m in cover_men}
+    return replace(report, deleted_men=tuple(sorted(deleted_men)),
+                   deleted_women=tuple(sorted(deleted_women)))
 
 
 def assemble_from_deletion(

@@ -312,6 +312,14 @@ def _latin1_graph(tmp_path):
             "--y", "4", "--z", "2", "-o", str(tmp_path / "vc.json")]
 
 
+def _written_input(text):
+    def args(tmp_path):
+        ipath = tmp_path / "i.json"
+        ipath.write_text(text, encoding="utf-8")
+        return ["solve", "--algo", "gs", "--input", str(ipath)]
+    return args
+
+
 MALFORMED_RUNS = {
     "negative-kmax": _bad_kmax,
     "negative-n": lambda tmp_path: ["gen", "--family", "random", "--n", "-1",
@@ -320,6 +328,8 @@ MALFORMED_RUNS = {
                                          "--input", str(tmp_path)],
     "not-utf8": _latin1_input,
     "not-utf8-graph": _latin1_graph,
+    "deep-nesting": _written_input("[" * 100_000 + "]" * 100_000),
+    "huge-integer": _written_input('{"n": ' + "9" * 5000 + "}"),
 }
 
 

@@ -264,7 +264,9 @@ def test_refinement_monotonicity(mixed_corpus):
 
 def test_witness_on_super_stable_matching_has_no_blocks(two_by_two):
     matching = Matching([(0, 0), (1, 1)])
-    witness = build_witness_completion(two_by_two, matching)
+    witness = build_witness_completion(
+        two_by_two, matching, super_blocking_pairs(two_by_two, matching)
+    )
     assert witness.refines(two_by_two)
     assert witness.blocking_pairs(matching) == []
 
@@ -272,7 +274,9 @@ def test_witness_on_super_stable_matching_has_no_blocks(two_by_two):
 def test_witness_on_fig1_identity():
     inst = gen_fig1(8, Fraction(1, 4))
     matching = Matching.identity(8)
-    witness = build_witness_completion(inst, matching)
+    witness = build_witness_completion(
+        inst, matching, super_blocking_pairs(inst, matching)
+    )
     assert witness.refines(inst)
     assert len(witness.blocking_pairs(matching)) == 1
 
@@ -282,7 +286,9 @@ def test_witness_on_fig1_identity():
 def test_witness_tightness_matches_brute_force(seed, perm):
     inst = gen_random(3, Fraction(1, 2), seed=seed)
     matching = Matching(enumerate(perm))
-    witness = build_witness_completion(inst, matching)
+    witness = build_witness_completion(
+        inst, matching, super_blocking_pairs(inst, matching)
+    )
     assert witness.refines(inst)
     count = count_super_blocking_pairs(inst, matching)
     assert len(witness.blocking_pairs(matching)) == count
@@ -292,7 +298,9 @@ def test_witness_tightness_matches_brute_force(seed, perm):
 def test_witness_handles_partial_matchings():
     inst = gen_random(4, Fraction(1, 2), seed=77)
     matching = Matching([(0, 1), (2, 3)])
-    witness = build_witness_completion(inst, matching)
+    witness = build_witness_completion(
+        inst, matching, super_blocking_pairs(inst, matching)
+    )
     assert witness.refines(inst)
     assert len(witness.blocking_pairs(matching)) == count_super_blocking_pairs(
         inst, matching

@@ -4,14 +4,18 @@ deletion pipeline with its vertex-cover step."""
 import hashlib
 import itertools
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import minimaxsm
 from minimaxsm import (
     Matching,
     ValidationError,
@@ -634,3 +638,35 @@ def test_readme_example(capsys):
     assert len(printed) == len(expected) == 3
     for value, (at_least, bound) in zip(printed, expected):
         assert value >= int(bound) if at_least else value == int(bound)
+
+
+# ---------------------------------------------------------------------------
+# certificate
+# ---------------------------------------------------------------------------
+
+# A stand-in witness that ranks everyone in index order recounts other
+# blocking pairs than the matching's super-blocking pairs.
+BAD_WITNESS_RUN = """
+import random
+from minimaxsm import Completion, Matching, solvers
+from conftest import two_sided_tie_market
+
+rng = random.Random(5)
+inst = two_sided_tie_market(30, rng)
+matching = Matching(list(enumerate(rng.sample(range(30), 30))))
+orders = [range(inst.n)] * inst.n
+solvers.build_witness_completion = lambda *args: Completion(orders, orders)
+solvers.SolveReport.build(inst, matching, "gs")
+"""
+
+
+def test_witness_recount_survives_python_optimize():
+    """``python -O`` strips asserts; the recount must still refuse a witness."""
+    src = Path(minimaxsm.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), str(Path(__file__).resolve().parent)])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", BAD_WITNESS_RUN],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 1
+    assert "RuntimeError: witness completion" in proc.stderr
