@@ -130,6 +130,57 @@ def test_super_stable_matches_oracle(mixed_corpus):
         _check_super_stable_solve(inst)
 
 
+def _man_optimal_super_stable(inst):
+    """By brute force over permutations: the super-stable perfect matching
+    that gives every man his best rank among all of them, or None when
+    there is none.  Asserts that exactly one matching does that."""
+    n, mr, wr = inst.n, inst.men_rank, inst.women_rank
+    found = []
+    for wife in itertools.permutations(range(n)):
+        husband = [0] * n
+        for m, w in enumerate(wife):
+            husband[w] = m
+        if not any(
+            w != wife[m]
+            and mr[m][w] <= mr[m][wife[m]]
+            and wr[w][m] <= wr[w][husband[w]]
+            for m in range(n)
+            for w in range(n)
+        ):
+            found.append(wife)
+    if not found:
+        return None
+    best = [min(mr[m][wife[m]] for wife in found) for m in range(n)]
+    optimal = [
+        wife for wife in found if all(mr[m][wife[m]] == best[m] for m in range(n))
+    ]
+    assert len(optimal) == 1
+    return Matching(enumerate(optimal[0]))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_super_stable_solve_is_man_optimal(n):
+    rng = random.Random(n)
+    all_pairs = [(m, w) for m in range(n) for w in range(n)]
+    solvable = 0
+    for _ in range(150):
+        inst = two_sided_tie_market(n, rng)
+        demoted = _demote(inst, tuple(rng.sample(all_pairs, rng.randint(1, 2))))
+        for market in (inst, demoted):
+            expected = _man_optimal_super_stable(market)
+            assert super_stable_solve(market) == expected
+            solvable += expected is not None
+    assert solvable > 0
+    for _ in range(75):
+        market = strict(
+            [rng.sample(range(n), n) for _ in range(n)],
+            [rng.sample(range(n), n) for _ in range(n)],
+        )
+        expected = _man_optimal_super_stable(market)
+        assert super_stable_solve(market) == expected
+        assert gale_shapley_completion(market).matching == expected
+
+
 # ---------------------------------------------------------------------------
 # exact_min_super_bp
 # ---------------------------------------------------------------------------
