@@ -76,8 +76,8 @@ def max_bp_over_completions(
     that side approves the pair (m, w).  A completion's blocking pairs are
     the AND of its two sides' masks.  Every completion is still visited.
     """
-    _check_completion_budget(inst, budget)
     matching.validate_for(inst.n)
+    _check_completion_budget(inst, budget)
     n = inst.n
     wom_of = [matching.woman_of(m) for m in range(n)]
     man_of = [matching.man_of(w) for w in range(n)]

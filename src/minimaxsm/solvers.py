@@ -92,28 +92,60 @@ def _complete_orders(tl: TierList, rng: random.Random | None) -> Sequence[int]:
     return out
 
 
-def _deferred_acceptance(
-    men_orders: Sequence[Sequence[int]],
-    women_rank: Sequence[Sequence[int]],
-) -> Matching:
-    """Man-proposing deferred acceptance on strict complete lists."""
-    n = len(men_orders)
+def _man_proposals(inst: Instance) -> list[int | None] | None:
+    """Men propose, and deletions are implicit: each woman's fiance, or None
+    once a man's list empties.
+
+    Woman w keeps only the men whose rank on her list is below ``bar[w]``;
+    each man walks his order and skips the women whose bar has passed him.  A free man
+    proposes to every woman left in his head tier and may hold several
+    engagements at once.  A woman whose fiance ties the proposer loses both
+    and the whole tail of her list (Irving, "Stable marriage and
+    indifference", Discrete Appl. Math. 48, 1994); otherwise she holds the
+    proposer and drops every man she ranks below him.  Every deletion
+    removes a pair that no super-stable matching can contain.  On strict
+    lists nobody ties, and this is deferred acceptance.  A man is freed only
+    once his whole head tier has dropped him, so he resumes past it.
+    """
+    n = inst.n
+    wrank = inst.women_rank
+    bar = [n] * n
     nxt = [0] * n
     fiance: list[int | None] = [None] * n
+    eng_count = [0] * n
     free = deque(range(n))
     while free:
         m = free.popleft()
-        w = men_orders[m][nxt[m]]
-        nxt[m] += 1
-        p = fiance[w]
-        if p is None:
-            fiance[w] = m
-        elif women_rank[w][m] < women_rank[w][p]:
-            fiance[w] = m
-            free.append(p)
-        else:
+        order, rank = inst.men[m].order, inst.men_rank[m]
+        i = nxt[m]
+        while i < n and wrank[order[i]][m] >= bar[order[i]]:
+            i += 1
+        if i == n:
+            return None
+        head = rank[order[i]]
+        while i < n and rank[order[i]] == head:
+            w = order[i]
+            i += 1
+            r, p = wrank[w][m], fiance[w]
+            if r >= bar[w]:
+                continue
+            # A woman who cannot rank m against her fiance loses the whole
+            # tail of her list from m's tier down: any of those men as her
+            # partner is super-blocked by m or by the fiance.  Either way
+            # the cut takes the fiance.
+            tied = p is not None and wrank[w][p] == r
+            bar[w] = r if tied else r + 1
+            if p is not None:
+                eng_count[p] -= 1
+                if not eng_count[p]:
+                    free.append(p)
+            fiance[w] = None if tied else m
+            if not tied:
+                eng_count[m] += 1
+        nxt[m] = i
+        if not eng_count[m]:
             free.append(m)
-    return Matching((fiance[w], w) for w in range(n))
+    return fiance
 
 
 def gale_shapley_completion(inst: Instance, seed: int | None = None) -> SolveReport:
@@ -128,9 +160,8 @@ def gale_shapley_completion(inst: Instance, seed: int | None = None) -> SolveRep
         [_complete_orders(tl, rng) for tl in inst.men],
         [_complete_orders(tl, rng) for tl in inst.women],
     )
-    men_orders = [tl.order for tl in completion.men]
-    matching = _deferred_acceptance(men_orders, completion.women_rank)
-    return SolveReport.build(inst, matching, "gs")
+    fiance = _man_proposals(completion)
+    return SolveReport.build(inst, Matching(zip(fiance, range(inst.n))), "gs")
 
 
 # ---------------------------------------------------------------------------
@@ -140,59 +171,16 @@ def gale_shapley_completion(inst: Instance, seed: int | None = None) -> SolveRep
 def super_stable_solve(inst: Instance) -> Matching | None:
     """Find a super-stable matching, or return None when none exists.
 
-    Proposal-with-deletion procedure.  A free man proposes to every woman in
-    the current head tier of his list and may hold several provisional
-    engagements at once.  A woman accepting a proposal deletes every strictly
-    worse entry (displacing any such fiance); a woman whose fiance ties the
-    proposer rejects both and deletes every entry from their tier down (the
-    tail of her list, after Irving, "Stable marriage and indifference",
-    Discrete Appl. Math. 48, 1994).  Every deletion removes a pair that no
-    super-stable matching can contain, so an emptied list proves
-    non-existence.  Once no man is free, each man holds exactly one
-    engagement (each woman holds at most one, so n men with at least one
-    average out to one each) and that matching is returned after a final
-    stability check; a failed check likewise proves non-existence.
+    Irving's algorithm: the proposal loop above, run on the tied lists.  An
+    emptied list proves non-existence.  Once no man is free, each man holds
+    exactly one engagement (each woman holds at most one, so n men with at
+    least one average out to one each) and that matching is returned after
+    a final stability check; a failed check likewise proves non-existence.
     """
-    n = inst.n
-    if n == 0:
-        return Matching(())
-    work = WorkingInstance(inst)
-    mrank, wrank = inst.men_rank, inst.women_rank
-    eng_count = [0] * n
-    fiance: list[int | None] = [None] * n
-    free = deque(range(n))
-    while free:
-        m = free.popleft()
-        if eng_count[m]:
-            continue
-        entries = work.men_lists[m]
-        if not entries:
-            return None
-        head = mrank[m][next(iter(entries))]
-        for w in list(itertools.takewhile(lambda x: mrank[m][x] == head, entries)):
-            p = fiance[w]
-            # A woman who cannot rank m against her fiance loses the whole
-            # tail of her list from m's tier down: any of those men as her
-            # partner is super-blocked by m or by the fiance.  Either way
-            # the cut takes the fiance.
-            tied = p is not None and wrank[w][p] == wrank[w][m]
-            assert tied or p is None or wrank[w][m] < wrank[w][p]
-            work.cut_tail("women", w, wrank[w][m] if tied else wrank[w][m] + 1)
-            if p is not None:
-                fiance[w] = None
-                eng_count[p] -= 1
-                if not eng_count[p]:
-                    free.append(p)
-            if not tied:
-                fiance[w] = m
-                eng_count[m] += 1
-        if not eng_count[m]:
-            if not work.men_lists[m]:
-                return None
-            free.append(m)
-    pairs = [(fiance[w], w) for w in range(n) if fiance[w] is not None]
-    assert len(pairs) == n
-    matching = Matching(pairs)
+    fiance = _man_proposals(inst)
+    if fiance is None:
+        return None
+    matching = Matching(zip(fiance, range(inst.n)))
     if super_blocking_pairs(inst, matching):
         return None
     return matching
@@ -241,7 +229,7 @@ def exact_min_super_bp(inst: Instance, k_max: int | None = None) -> SolveReport 
     if k_max is None:
         k_max = n * n
     if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
+        raise ValidationError(f"k_max must be nonnegative, got {k_max}")
     all_pairs = [(m, w) for m in range(n) for w in range(n)]
     for j in range(min(k_max, n * n) + 1):
         for subset in itertools.combinations(all_pairs, j):

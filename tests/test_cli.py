@@ -381,6 +381,15 @@ def test_oracle_budget_exceeded(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_oracle_minimax_rejects_absent_agents_before_the_budget(tmp_path, capsys):
+    ipath, mpath = tmp_path / "i.json", tmp_path / "m.json"
+    save_instance(gen_random(6, Fraction(1, 4), seed=1), ipath)
+    mpath.write_text(json.dumps({"pairs": [[1, 7]]}), encoding="utf-8")
+    argv = ["oracle", "--mode", "minimax", "--input", str(ipath)]
+    assert main([*argv, "--matching", str(mpath)]) == 2
+    assert "absent agent" in capsys.readouterr().err
+
+
 def test_oracle_minimax_requires_matching(tmp_path, capsys):
     ipath = tmp_path / "i.json"
     save_instance(gen_random(3, Fraction(1, 4), seed=1), ipath)

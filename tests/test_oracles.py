@@ -9,6 +9,7 @@ from minimaxsm import (
     Matching,
     TierList,
     Instance,
+    ValidationError,
     count_super_blocking_pairs,
     enumerate_completions,
     max_bp_over_completions,
@@ -61,6 +62,15 @@ def test_completion_budget_is_enforced():
     inst = Instance([full] * 4, [full] * 4)
     with pytest.raises(BudgetExceededError):
         list(enumerate_completions(inst, OracleBudget(max_completions=1000)))
+
+
+def test_max_bp_checks_the_matching_before_the_budget():
+    full = TierList((tuple(range(4)),))
+    inst = Instance([full] * 4, [full] * 4)
+    with pytest.raises(ValidationError, match="absent agent"):
+        max_bp_over_completions(
+            inst, Matching([(0, 7)]), OracleBudget(max_completions=1000)
+        )
 
 
 def test_agent_budget_is_enforced():
