@@ -97,10 +97,10 @@ def _man_proposals(inst: Instance) -> list[int | None] | None:
     once a man's list empties.
 
     Woman w keeps only the men whose rank on her list is below ``bar[w]``;
-    each man walks his order and skips the women whose bar has passed him.  A free man
-    proposes to every woman left in his head tier and may hold several
-    engagements at once.  A woman whose fiance ties the proposer loses both
-    and the whole tail of her list (Irving, "Stable marriage and
+    each man walks his order and skips the women whose bar has passed him.
+    A free man proposes to every woman left in his head tier and may hold
+    several engagements at once.  A woman whose fiance ties the proposer
+    loses both and the whole tail of her list (Irving, "Stable marriage and
     indifference", Discrete Appl. Math. 48, 1994); otherwise she holds the
     proposer and drops every man she ranks below him.  Every deletion
     removes a pair that no super-stable matching can contain.  On strict
