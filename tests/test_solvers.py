@@ -40,7 +40,7 @@ from minimaxsm.oracles import (
     min_delete,
     min_super_bp,
 )
-from minimaxsm.files import matching_to_dict, report_to_dict
+from minimaxsm.files import dumps, matching_to_dict, report_to_dict
 from minimaxsm.solvers import (
     DegenerateInstanceError,
     PreconditionError,
@@ -215,6 +215,47 @@ def test_exact_equals_oracle(mixed_corpus):
         report = exact_min_super_bp(inst)
         count, _ = min_super_bp(inst)
         assert report is not None and report.super_bp_count == count
+
+
+# SHA-256 prefixes of the written exact report for each market of
+# _exact_pin_corpus(): 38 have optimum 0, 31 optimum 1, 10 optimum 2 and one
+# optimum 3, so the search demotes some pairs' rows more than once.
+EXACT_REPORT_DIGESTS = [
+    "d720e7ce44dfb101", "dca16daed40b50d1", "4af1ac27bc3eda22", "9049aafd0073a5a4",
+    "8dff4a8c20e23455", "c7acdadd9d260a9d", "9a07e9cfa71532fc", "b03e26e14c09391d",
+    "8aa66630badf68ca", "9dfd557b216a4f70", "e5da6b191e8fefd7", "d10195729050d728",
+    "855a627436b90dc7", "5409e460c0a4da39", "8569d584c372ffd7", "c39b8e699eed8879",
+    "9b7fd635769b76cc", "dc3c3560532a7e49", "79220e37067f894b", "155c6a6ea934c217",
+    "65fe24c63d2daf27", "5067ceef9826a3e1", "07bca7dc1fd24eda", "b28b01152ede94b5",
+    "54eaa7220a05907e", "e79e6afbe7d2a771", "636c06a2d8282c11", "146601f8f1f1046d",
+    "b01500a0fb5ee2da", "0dc7744936ea202d", "cf20a971841ce159", "5dd81e3c3a706c05",
+    "ca86109ed308b8de", "3b3a2bef92aa2036", "9a2aaf1639fd63df", "a2689134079861a4",
+    "2094d8c68a320d84", "2a37a917cb9d33b5", "8cfc4f25238226af", "f75bde66c915bba0",
+    "57ff0ee87b6a7039", "cea8d82953b437c0", "269d8d6330a20726", "8dcadf5a851c4e06",
+    "244e96df774db050", "424569c0a27c5066", "ffe1a363fad3da09", "a00240dffbfdd251",
+    "71c4d595e706ec73", "44cc6e83a7ee8331", "e152153d3ee43dc0", "1897a22f48b0ab86",
+    "756eb9c073869ea4", "528565842d463ee2", "ca5cabb626e5e3c9", "16c3ec5d4658daff",
+    "ae759de7e0ef813e", "ef5f9fe3bb7c7314", "736f854c691cff70", "327d099040d69af9",
+    "39d9e8bf47b6450b", "6930b743848b387b", "661c013fe91be75b", "bcc95652ecf8a2fc",
+    "75bafec16067fa87", "382b9d3282aaf50b", "77e4c008728324ac", "4eed1875d4a77e07",
+    "d5d0bf4caf0c30a9", "409a277c9f255065", "e744b9d9ccad8852", "a37cc28a5121552e",
+    "189601f41f027e00", "6fda327813c7fe07", "c9ba5c0c7e4f1857", "d577959f8054c359",
+    "c3d6d47440e244af", "369b89770a2d9a70", "a3646ddf2c1c1b99", "9d49095aa729390a",
+]
+
+
+def _exact_pin_corpus():
+    rng = random.Random(11)
+    return [two_sided_tie_market(4 + i % 2, rng) for i in range(80)]
+
+
+def test_exact_reports_are_byte_identical():
+    got = [
+        hashlib.sha256(dumps(report_to_dict(exact_min_super_bp(m))).encode())
+        .hexdigest()[:16]
+        for m in _exact_pin_corpus()
+    ]
+    assert got == EXACT_REPORT_DIGESTS
 
 
 def test_demote_preserves_other_tiers():
