@@ -190,30 +190,39 @@ def super_stable_solve(inst: Instance) -> Matching | None:
 # Exact bounded search
 # ---------------------------------------------------------------------------
 
-def _demote(inst: Instance, pairs: tuple[tuple[int, int], ...]) -> Instance:
+def _demote(
+    inst: Instance,
+    pairs: tuple[tuple[int, int], ...],
+    single: dict[tuple[int, int, int], TierList] | None = None,
+) -> Instance:
     """Push each pair's two agents to the bottom of each other's list.
 
     An agent demoting several partners keeps them as one incomparable bottom
-    tier; the surviving tier structure is otherwise preserved.
+    tier; the surviving tier structure is otherwise preserved.  Only the
+    pairs' agents get new rows; every other row is shared with ``inst``.  A
+    row that demotes one partner is kept in ``single`` under (side, agent,
+    partner), so calls on the same ``inst`` that pass the same dict build it
+    once.
     """
-    men_drop: dict[int, set[int]] = {}
-    women_drop: dict[int, set[int]] = {}
+    if single is None:
+        single = {}
+    drops: dict[tuple[int, int], set[int]] = {}
     for m, w in pairs:
-        men_drop.setdefault(m, set()).add(w)
-        women_drop.setdefault(w, set()).add(m)
-
-    def rebuilt(tl: TierList, drop: set[int]) -> TierList:
-        if not drop:
-            return tl
-        kept = [x for x in tl.order if x not in drop]
-        tiers = [list(t) for _, t in itertools.groupby(kept, tl.rank.__getitem__)]
-        return TierList([*tiers, drop])
-
-    men = tuple(rebuilt(tl, men_drop.get(m, set())) for m, tl in enumerate(inst.men))
-    women = tuple(
-        rebuilt(tl, women_drop.get(w, set())) for w, tl in enumerate(inst.women)
-    )
-    return Instance(men, women)
+        drops.setdefault((0, m), set()).add(w)
+        drops.setdefault((1, w), set()).add(m)
+    sides = (list(inst.men), list(inst.women))
+    for (side, agent), drop in drops.items():
+        key = (side, agent, *drop)
+        row = single.get(key)  # only single-partner keys are ever stored
+        if row is None:
+            tl = sides[side][agent]
+            kept = [x for x in tl.order if x not in drop]
+            tiers = [list(t) for _, t in itertools.groupby(kept, tl.rank.__getitem__)]
+            row = TierList([*tiers, drop])
+            if len(drop) == 1:
+                single[key] = row
+        sides[side][agent] = row
+    return Instance(*sides)
 
 
 def exact_min_super_bp(inst: Instance, k_max: int | None = None) -> SolveReport | None:
@@ -231,9 +240,10 @@ def exact_min_super_bp(inst: Instance, k_max: int | None = None) -> SolveReport 
     if k_max < 0:
         raise ValidationError(f"k_max must be nonnegative, got {k_max}")
     all_pairs = [(m, w) for m in range(n) for w in range(n)]
+    single: dict[tuple[int, int, int], TierList] = {}  # at most 2n² rows
     for j in range(min(k_max, n * n) + 1):
         for subset in itertools.combinations(all_pairs, j):
-            candidate = super_stable_solve(_demote(inst, subset))
+            candidate = super_stable_solve(_demote(inst, subset, single))
             if candidate is not None:
                 return SolveReport.build(inst, candidate, "exact")
     return None

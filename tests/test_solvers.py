@@ -270,6 +270,43 @@ def test_demote_preserves_other_tiers():
     assert mod.men[1] == inst.men[1]
 
 
+
+def test_demote_reuses_rows_correctly():
+    """Rows kept in a shared dict across many calls equal a fresh rebuild;
+    the dict holds only single-partner rows, at most 2n² of them."""
+
+    def rebuilt(tl, drop):
+        kept = [[x for x in tier if x not in drop] for tier in tl.tiers]
+        return tuple(map(tuple, filter(None, [*kept, sorted(drop)])))
+
+    rng = random.Random(8)
+    repeated = 0
+    for n in range(2, 7):
+        all_pairs = [(m, w) for m in range(n) for w in range(n)]
+        for _ in range(4):
+            inst = two_sided_tie_market(n, rng)
+            single = {}
+            for _ in range(150):
+                pairs = tuple(rng.sample(all_pairs, rng.randint(1, min(5, n * n))))
+                repeated += len({m for m, _ in pairs}) < len(pairs)
+                mod = _demote(inst, pairs, single)
+                for side, old, new in ((0, inst.men, mod.men), (1, inst.women, mod.women)):
+                    for agent in range(n):
+                        drop = {p[1 - side] for p in pairs if p[side] == agent}
+                        tiers = rebuilt(old[agent], drop)
+                        rank = [0] * n
+                        for r, tier in enumerate(tiers):
+                            for x in tier:
+                                rank[x] = r
+                        assert new[agent].tiers == tiers
+                        assert new[agent].rank == tuple(rank)
+                        if not drop:
+                            assert new[agent] is old[agent]
+            assert len(single) <= 2 * n * n
+            assert all(len(key) == 3 for key in single)
+    assert repeated > 0
+
+
 # ---------------------------------------------------------------------------
 # propose_with
 # ---------------------------------------------------------------------------
