@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 import time
 from fractions import Fraction
@@ -277,7 +278,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building it costs
+    about twenty times a parse, and a parse leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="minimaxsm",
         description="Stable marriage with tied preferences: generators, solvers, "

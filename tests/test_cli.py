@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import minimaxsm
 from minimaxsm import Instance, Matching, ValidationError
-from minimaxsm.cli import main
+from minimaxsm.cli import build_parser, main
 from minimaxsm.files import (
     dumps,
     instance_from_dict,
@@ -164,6 +164,23 @@ def fig1_file(tmp_path):
     path = tmp_path / "fig1.json"
     save_instance(gen_fig1(12, Fraction(1, 4)), path)
     return path
+
+
+
+def test_parses_share_no_state(fig1_file, capsys):
+    parser = build_parser()
+    args = parser.parse_args(["solve", "--algo", "exact", "--input", "x.json",
+                              "--seed", "3", "--kmax", "16"])
+    assert (args.seed, args.kmax) == (3, 16)
+    args = build_parser().parse_args(["solve", "--algo", "exact", "--input", "x.json"])
+    assert args.seed is None and args.kmax == 3
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--algo", "exact", "--kmax", "two", "--input", str(fig1_file)])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["solve", "--algo", "exact", "--input", str(fig1_file),
+                 "--kmax", "2"]) == 0
+    assert '"algorithm": "exact"' in capsys.readouterr().out
 
 
 def test_solve_exact_recovers_optimum(fig1_file, tmp_path):
