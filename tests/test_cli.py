@@ -172,7 +172,8 @@ def test_parses_share_no_state(fig1_file, capsys):
     args = parser.parse_args(["solve", "--algo", "exact", "--input", "x.json",
                               "--seed", "3", "--kmax", "16"])
     assert (args.seed, args.kmax) == (3, 16)
-    args = build_parser().parse_args(["solve", "--algo", "exact", "--input", "x.json"])
+    assert build_parser() is parser
+    args = parser.parse_args(["solve", "--algo", "exact", "--input", "x.json"])
     assert args.seed is None and args.kmax == 3
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--algo", "exact", "--kmax", "two", "--input", str(fig1_file)])
