@@ -1,6 +1,7 @@
 """Brute-force oracles: enumeration counts, budgets, and mutual consistency."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,8 @@ from minimaxsm.oracles import (
     count_completions,
     max_internal_super_stable_size,
 )
+from minimaxsm.cli import main
+from minimaxsm.files import save_instance, save_matching
 from minimaxsm.generators import gen_fig1, gen_random
 
 from conftest import strict, tiered
@@ -71,6 +74,21 @@ def test_max_bp_checks_the_matching_before_the_budget():
         max_bp_over_completions(
             inst, Matching([(0, 7)]), OracleBudget(max_completions=1000)
         )
+
+
+def test_max_bp_budget_refuses_the_all_tied_4x4_market(tmp_path, capsys):
+    # 24^8 completions: the default budget refuses it before any is made
+    full = TierList((tuple(range(4)),))
+    inst = Instance([full] * 4, [full] * 4)
+    assert count_completions(inst) == 24**8
+    with pytest.raises(BudgetExceededError, match="budget"):
+        max_bp_over_completions(inst, Matching.identity(4))
+    ipath, mpath = tmp_path / "i.json", tmp_path / "m.json"
+    save_instance(inst, ipath)
+    save_matching(Matching.identity(4), mpath)
+    argv = ["oracle", "--mode", "minimax", "--input", str(ipath), "--matching", str(mpath)]
+    assert main(argv) == 4
+    assert "budget" in capsys.readouterr().err
 
 
 def test_agent_budget_is_enforced():
@@ -164,6 +182,72 @@ def test_max_bp_equals_super_bp_count(mixed_corpus):
                     for cm, cw in completions
                 )
                 assert max_bp_over_completions(inst, matching) == worst == len(sbps)
+
+
+# Tier sizes per agent, n men then n women, dealt at random; the completion
+# counts are 256, 6144, 18432 and 331776.
+DESK_SHAPES = [
+    (4, ((2, 1, 1),) * 4 + ((2, 2),) * 2 + ((1, 1, 1, 1),) * 2),
+    (5, ((2, 2, 1),) * 3 + ((3, 1, 1),) + ((2, 1, 1, 1),) * 4 + ((1,) * 5,) * 2),
+    (4, ((2, 2),) * 3 + ((3, 1),) * 2 + ((2, 1, 1),) * 3),
+    (4, ((3, 1),) * 4 + ((2, 2),) * 4),
+]
+
+
+def _shaped_market(n, shapes, rng):
+    dealt = list(shapes)
+    rng.shuffle(dealt)
+    rows = []
+    for sizes in dealt:
+        order = rng.sample(range(n), n)
+        sizes = rng.sample(sizes, len(sizes))
+        cuts = list(itertools.accumulate(sizes, initial=0))
+        rows.append([order[a:b] for a, b in zip(cuts, cuts[1:])])
+    return tiered(rows[:n], rows[n:])
+
+
+def _masks_per_order(tl, partner, bit):
+    """One mask per linear order of the row, duplicates kept: bit(x) is set
+    for every x the agent ranks above its partner (everyone when single)."""
+    masks = []
+    for order in tl.linear_orders():
+        cut = order.index(partner) if partner is not None else len(order)
+        masks.append(sum(bit(x) for x in order[:cut]))
+    return masks
+
+
+def test_max_bp_matches_a_per_completion_reference():
+    rng = random.Random(15)
+    for n, shapes in DESK_SHAPES:
+        for _ in range(10):
+            inst = _shaped_market(n, shapes, rng)
+            total = count_completions(inst)
+            matchings = [Matching(enumerate(rng.sample(range(n), n)))
+                         for _ in range(3)]
+            # leave one or two agents of each side unmatched in two of them
+            matchings[1] = Matching(matchings[1].pairs[1:])
+            matchings[2] = Matching(rng.sample(matchings[2].pairs, n - 2))
+            for matching in matchings:
+                men = [
+                    _masks_per_order(tl, matching.woman_of(m), lambda w, m=m: 1 << (m * n + w))
+                    for m, tl in enumerate(inst.men)
+                ]
+                women = [
+                    _masks_per_order(tl, matching.man_of(w), lambda m, w=w: 1 << (m * n + w))
+                    for w, tl in enumerate(inst.women)
+                ]
+                men_sides = [sum(c) for c in itertools.product(*men)]
+                women_sides = [sum(c) for c in itertools.product(*women)]
+                assert len(men_sides) * len(women_sides) == total
+                worst = max(
+                    (a & b).bit_count() for a in men_sides for b in women_sides
+                )
+                if total <= 256:
+                    assert worst == max(
+                        len(c.blocking_pairs(matching))
+                        for c in enumerate_completions(inst)
+                    )
+                assert max_bp_over_completions(inst, matching) == worst
 
 
 def test_min_super_bp_zero_iff_super_stable(mixed_corpus):
