@@ -71,10 +71,17 @@ def max_bp_over_completions(
 ) -> int:
     """Maximum number of blocking pairs over every completion of ``inst``.
 
-    Each side's approvals depend only on that side's orders, so every
-    side-completion is packed once into a bitmask with bit m*n + w set when
-    that side approves the pair (m, w).  A completion's blocking pairs are
-    the AND of its two sides' masks.  Every completion is still visited.
+    A completion's blocking pairs depend on it only through the set each
+    agent approves: the agents it ranks above its partner.  So every linear
+    order of every agent's row is enumerated, turned into that agent's
+    approval bitmask (bit m*n + w set when the agent approves the pair
+    (m, w)), and only the distinct masks are kept per agent.  Every
+    combination of distinct masks is then evaluated: a side's mask is the
+    union of its agents' masks, and the blocking pairs are the AND of the
+    two sides'.  Completions with equal masks have equal counts, so the
+    maximum is the one over every completion.  Masks contained in another
+    of the same agent's are kept too: keeping only the largest would
+    evaluate one completion, the witness, whose count this oracle checks.
     """
     matching.validate_for(inst.n)
     _check_completion_budget(inst, budget)
@@ -86,10 +93,10 @@ def max_bp_over_completions(
         per_agent = []
         for a, (tl, partner) in enumerate(zip(side, partners)):
             orders = [TierList.from_order(o).rank for o in tl.linear_orders()]
-            per_agent.append([
+            per_agent.append({
                 sum(1 << (a * own_step + b * other_step) for b in approved)
                 for approved in approvals(orders, [partner] * len(orders))
-            ])
+            })
         # each agent owns its own bits, so adding the agents' masks unions them
         return map(sum, itertools.product(*per_agent))
 
