@@ -258,6 +258,42 @@ def test_exact_reports_are_byte_identical():
     assert got == EXACT_REPORT_DIGESTS
 
 
+# SHA-256 prefixes of the written exact report for the first six markets of
+# one Random(17) stream (n alternating 4 and 5) whose search tries at least
+# 300 candidate sets: optima 3, 3, 4, 3, 3, 3 after 635, 514, 10585, 407,
+# 1311 and 625 sets, so most demoted rows drop two or more partners.
+DEEP_EXACT_REPORT_DIGESTS = [
+    "9e02c7022c6be4dc", "63d166ca02cd9443", "d4802a44e3e8c182",
+    "5f47df967e1e5508", "11dd62996a7f4a2a", "b13e73fa64f1f54e",
+]
+
+
+def test_deep_exact_reports_are_byte_identical(monkeypatch):
+    import minimaxsm.solvers as solvers
+
+    calls = 0
+
+    def counted(inst):
+        nonlocal calls
+        calls += 1
+        return super_stable_solve(inst)
+
+    monkeypatch.setattr(solvers, "super_stable_solve", counted)
+    rng = random.Random(17)
+    got, tried = [], []
+    for i in range(200):  # the sixth comes at draw 174
+        calls = 0
+        report = exact_min_super_bp(two_sided_tie_market(4 + i % 2, rng))
+        if calls >= 300:
+            digest = hashlib.sha256(dumps(report_to_dict(report)).encode())
+            got.append(digest.hexdigest()[:16])
+            tried.append(calls)
+            if len(got) == len(DEEP_EXACT_REPORT_DIGESTS):
+                break
+    assert tried == [635, 514, 10585, 407, 1311, 625]
+    assert got == DEEP_EXACT_REPORT_DIGESTS
+
+
 def test_demote_preserves_other_tiers():
     inst = tiered(
         men=[[[0, 1], [2]], [[0], [1], [2]], [[2], [1], [0]]],
