@@ -15,7 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class ValidationError(ValueError):
@@ -107,6 +107,27 @@ def _rows(raw: Sequence, n: int, label: str) -> tuple[TierList, ...]:
     return tuple(rows)
 
 
+def _replaced(
+    rows: tuple[TierList, ...],
+    ranks: tuple[tuple[int, ...], ...],
+    new: Mapping[int, TierList],
+    label: str,
+) -> tuple[tuple[TierList, ...], tuple[tuple[int, ...], ...]]:
+    """``rows`` and their rank rows with the entries of ``new`` swapped in,
+    each checked to rank len(rows) agents; an error names the agent."""
+    if not new:
+        return rows, ranks
+    n = len(rows)
+    rows, ranks = list(rows), list(ranks)
+    for i, tl in new.items():
+        if len(tl.order) != n:
+            raise ValidationError(
+                f"{label} {i + 1}: ranks {len(tl.order)} agents, not {n}"
+            )
+        rows[i], ranks[i] = tl, tl.rank
+    return tuple(rows), tuple(ranks)
+
+
 class Instance:
     """A complete two-sided market: n men and n women with tier-list orders.
 
@@ -130,6 +151,21 @@ class Instance:
             tl.rank for tl in self.women
         )
         self._delta: Fraction | None = None
+
+    def with_rows(
+        self, men: Mapping[int, TierList], women: Mapping[int, TierList]
+    ) -> "Instance":
+        """A copy with the rows of the agents in ``men`` and ``women`` (keyed
+        by 0-based index) replaced.  Every other row and rank row is this
+        instance's own object; only the new rows' lengths are checked, and
+        an error names the agent."""
+        out = Instance.__new__(Instance)
+        out.n, out._delta = self.n, None
+        out.men, out.men_rank = _replaced(self.men, self.men_rank, men, "man")
+        out.women, out.women_rank = _replaced(
+            self.women, self.women_rank, women, "woman"
+        )
+        return out
 
     @property
     def delta(self) -> Fraction:

@@ -16,7 +16,6 @@ from .core import (
     Completion,
     Instance,
     Matching,
-    TierList,
     approvals,
     restrict_instance,
     super_blocking_pairs,
@@ -92,7 +91,9 @@ def max_bp_over_completions(
     def side_masks(side, partners, own_step: int, other_step: int) -> Iterator[int]:
         per_agent = []
         for a, (tl, partner) in enumerate(zip(side, partners)):
-            orders = [TierList.from_order(o).rank for o in tl.linear_orders()]
+            # each linear order of a checked row is a permutation, and
+            # sorting positions by agent inverts it into a rank row
+            orders = [sorted(range(n), key=o.__getitem__) for o in tl.linear_orders()]
             per_agent.append({
                 sum(1 << (a * own_step + b * other_step) for b in approved)
                 for approved in approvals(orders, [partner] * len(orders))

@@ -193,36 +193,38 @@ def super_stable_solve(inst: Instance) -> Matching | None:
 def _demote(
     inst: Instance,
     pairs: tuple[tuple[int, int], ...],
-    single: dict[tuple[int, int, int], TierList] | None = None,
+    rows: dict[tuple[int, int, tuple[int, ...]], TierList] | None = None,
 ) -> Instance:
-    """Push each pair's two agents to the bottom of each other's list.
+    """Push each pair's two agents to the bottom of each other's list; the
+    pairs must be distinct.
 
     An agent demoting several partners keeps them as one incomparable bottom
     tier; the surviving tier structure is otherwise preserved.  Only the
-    pairs' agents get new rows; every other row is shared with ``inst``.  A
-    row that demotes one partner is kept in ``single`` under (side, agent,
-    partner), so calls on the same ``inst`` that pass the same dict build it
-    once.
+    pairs' agents get new rows; every other row and rank row is shared with
+    ``inst``.  Each new row is kept in ``rows`` under (side, agent, ascending
+    partners dropped), so calls on the same ``inst`` that pass the same dict
+    build it once: at most 2n(2^n - 1) rows, one per side, agent and
+    non-empty drop set.
     """
-    if single is None:
-        single = {}
-    drops: dict[tuple[int, int], set[int]] = {}
-    for m, w in pairs:
-        drops.setdefault((0, m), set()).add(w)
-        drops.setdefault((1, w), set()).add(m)
-    sides = (list(inst.men), list(inst.women))
-    for (side, agent), drop in drops.items():
-        key = (side, agent, *drop)
-        row = single.get(key)  # only single-partner keys are ever stored
-        if row is None:
-            tl = sides[side][agent]
-            kept = [x for x in tl.order if x not in drop]
-            tiers = [list(t) for _, t in itertools.groupby(kept, tl.rank.__getitem__)]
-            row = TierList([*tiers, drop])
-            if len(drop) == 1:
-                single[key] = row
-        sides[side][agent] = row
-    return Instance(*sides)
+    if rows is None:
+        rows = {}
+    men, women = {}, {}
+    for m, w in sorted(pairs):  # so each agent's partners come out ascending
+        men.setdefault(m, []).append(w)
+        women.setdefault(w, []).append(m)
+    # each agent's drop list is replaced by its demoted row
+    for side, drops, old in ((0, men, inst.men), (1, women, inst.women)):
+        for agent, drop in drops.items():
+            key = (side, agent, tuple(drop))
+            row = rows.get(key)
+            if row is None:
+                tl = old[agent]
+                kept = [x for x in tl.order if x not in drop]
+                groups = itertools.groupby(kept, tl.rank.__getitem__)
+                tiers = [list(t) for _, t in groups]
+                row = rows[key] = TierList([*tiers, drop])
+            drops[agent] = row
+    return inst.with_rows(men, women)
 
 
 def exact_min_super_bp(inst: Instance, k_max: int | None = None) -> SolveReport | None:
@@ -233,6 +235,10 @@ def exact_min_super_bp(inst: Instance, k_max: int | None = None) -> SolveReport 
     super-stability.  The first success is optimal because all smaller sizes
     failed, and the returned matching has at most j super-blocking pairs on
     the original instance.  Returns None when ``k_max`` is exhausted.
+
+    Each candidate market shares every untouched row with ``inst``, and each
+    demoted row is built once per search: one dict holds them all, at most
+    2n(2^n - 1) rows.
     """
     n = inst.n
     if k_max is None:
@@ -240,10 +246,10 @@ def exact_min_super_bp(inst: Instance, k_max: int | None = None) -> SolveReport 
     if k_max < 0:
         raise ValidationError(f"k_max must be nonnegative, got {k_max}")
     all_pairs = [(m, w) for m in range(n) for w in range(n)]
-    single: dict[tuple[int, int, int], TierList] = {}  # at most 2n² rows
+    rows: dict[tuple[int, int, tuple[int, ...]], TierList] = {}
     for j in range(min(k_max, n * n) + 1):
         for subset in itertools.combinations(all_pairs, j):
-            candidate = super_stable_solve(_demote(inst, subset, single))
+            candidate = super_stable_solve(_demote(inst, subset, rows))
             if candidate is not None:
                 return SolveReport.build(inst, candidate, "exact")
     return None

@@ -17,7 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 import minimaxsm
 from minimaxsm import (
+    Instance,
     Matching,
+    TierList,
     ValidationError,
     WorkingInstance,
     assemble_from_deletion,
@@ -309,14 +311,15 @@ def test_demote_preserves_other_tiers():
 
 def test_demote_reuses_rows_correctly():
     """Rows kept in a shared dict across many calls equal a fresh rebuild;
-    the dict holds only single-partner rows, at most 2n² of them."""
+    the dict holds one row per (side, agent, ascending drop set), at most
+    2n(2^n - 1) of them."""
 
     def rebuilt(tl, drop):
         kept = [[x for x in tier if x not in drop] for tier in tl.tiers]
         return tuple(map(tuple, filter(None, [*kept, sorted(drop)])))
 
     rng = random.Random(8)
-    repeated = 0
+    repeated = multi = 0
     for n in range(2, 7):
         all_pairs = [(m, w) for m in range(n) for w in range(n)]
         for _ in range(4):
@@ -338,9 +341,48 @@ def test_demote_reuses_rows_correctly():
                         assert new[agent].rank == tuple(rank)
                         if not drop:
                             assert new[agent] is old[agent]
-            assert len(single) <= 2 * n * n
-            assert all(len(key) == 3 for key in single)
-    assert repeated > 0
+            assert len(single) <= 2 * n * (2**n - 1)
+            for (side, agent, drop), row in single.items():
+                assert side in (0, 1) and 0 <= agent < n
+                assert drop and list(drop) == sorted(set(drop))
+                assert all(0 <= x < n for x in drop)
+                old = (inst.men, inst.women)[side][agent]
+                assert row.tiers == rebuilt(old, set(drop))
+                multi += len(drop) > 1
+    assert repeated > 0 and multi > 0
+
+
+def test_demote_shares_untouched_rows():
+    """A demoted market is a copy of its input with only the pairs' agents'
+    rows replaced, and equals a market built from scratch."""
+    rng = random.Random(9)
+    for n in range(1, 6):
+        all_pairs = [(m, w) for m in range(n) for w in range(n)]
+        for _ in range(20):
+            inst = two_sided_tie_market(n, rng)
+            pairs = tuple(rng.sample(all_pairs, rng.randint(0, min(4, n * n))))
+            mod = _demote(inst, pairs)
+            touched = ({m for m, _ in pairs}, {w for _, w in pairs})
+            for side, (old, new, old_rank, new_rank) in enumerate((
+                (inst.men, mod.men, inst.men_rank, mod.men_rank),
+                (inst.women, mod.women, inst.women_rank, mod.women_rank),
+            )):
+                for agent in range(n):
+                    assert new_rank[agent] is new[agent].rank
+                    if agent not in touched[side]:
+                        assert new[agent] is old[agent]
+                        assert new_rank[agent] is old_rank[agent]
+            fresh = Instance(mod.men, mod.women)
+            assert mod == fresh and (mod.n, mod.delta) == (fresh.n, fresh.delta)
+            assert mod.men_rank == fresh.men_rank
+            assert mod.women_rank == fresh.women_rank
+
+    inst = two_sided_tie_market(3, rng)
+    short = TierList([[0], [1]])
+    with pytest.raises(ValidationError, match="woman 2: ranks 2 agents, not 3"):
+        inst.with_rows({}, {1: short})
+    with pytest.raises(ValidationError, match="man 3: ranks 2 agents, not 3"):
+        inst.with_rows({2: short}, {})
 
 
 # ---------------------------------------------------------------------------
