@@ -263,7 +263,8 @@ def test_exact_reports_are_byte_identical():
 # SHA-256 prefixes of the written exact report for the first six markets of
 # one Random(17) stream (n alternating 4 and 5) whose search tries at least
 # 300 candidate sets: optima 3, 3, 4, 3, 3, 3 after 635, 514, 10585, 407,
-# 1311 and 625 sets, so most demoted rows drop two or more partners.
+# 1311 and 625 sets, so most sets tried demote two or more partners of
+# one agent.
 DEEP_EXACT_REPORT_DIGESTS = [
     "9e02c7022c6be4dc", "63d166ca02cd9443", "d4802a44e3e8c182",
     "5f47df967e1e5508", "11dd62996a7f4a2a", "b13e73fa64f1f54e",
@@ -271,8 +272,6 @@ DEEP_EXACT_REPORT_DIGESTS = [
 
 
 def test_deep_exact_reports_are_byte_identical(monkeypatch):
-    import minimaxsm.solvers as solvers
-
     calls = 0
 
     def counted(inst):
@@ -280,7 +279,7 @@ def test_deep_exact_reports_are_byte_identical(monkeypatch):
         calls += 1
         return super_stable_solve(inst)
 
-    monkeypatch.setattr(solvers, "super_stable_solve", counted)
+    monkeypatch.setattr(minimaxsm.solvers, "super_stable_solve", counted)
     rng = random.Random(17)
     got, tried = [], []
     for i in range(200):  # the sixth comes at draw 174
