@@ -419,6 +419,12 @@ def test_propose_with_requires_tie_free_proposers():
         propose_with(work, "women")
 
 
+def test_propose_with_rejects_an_unknown_side():
+    inst = strict([[0, 1], [0, 1]], [[0, 1], [0, 1]])
+    with pytest.raises(ValueError, match="unknown side 'couples'"):
+        propose_with(WorkingInstance(inst), "couples")
+
+
 def test_propose_with_clears_womens_ties(top_truncated_corpus):
     for inst in top_truncated_corpus[:20]:
         work = WorkingInstance(inst)
