@@ -262,7 +262,9 @@ def exact_min_super_bp(inst: Instance, k_max: int | None = None) -> SolveReport 
 class WorkingInstance:
     """Each agent's surviving entries, best first, as one insertion-ordered
     dict, with delete(man, woman) on both sides at once.  Ranks are read from
-    the originating instance, which deletion never changes."""
+    the originating instance, which deletion never changes.  ``engaged[side]``
+    holds that side's engagements from its last proposal pass: each
+    proposer's acceptor and each acceptor's proposer, or None."""
 
     def __init__(self, inst: Instance):
         self.inst = inst
@@ -273,30 +275,16 @@ class WorkingInstance:
         self.women_lists: list[dict[int, None]] = [
             dict.fromkeys(tl.order) for tl in inst.women
         ]
-
-    def _side(self, side: str):
-        if side == "men":
-            return self.men_lists, self.inst.men_rank
-        return self.women_lists, self.inst.women_rank
+        self.engaged: dict[str, tuple[list[int | None], list[int | None]]] = {
+            side: ([None] * self.n, [None] * self.n) for side in ("men", "women")
+        }
 
     def delete(self, man: int, woman: int) -> None:
         del self.men_lists[man][woman]
         del self.women_lists[woman][man]
 
-    def cut_tail(self, side: str, agent: int, bar: int) -> None:
-        """Delete every entry that ``agent`` on ``side`` ranks ``bar`` or
-        worse, reading its list from the end."""
-        lists, ranks = self._side(side)
-        entries, rank = lists[agent], ranks[agent]
-        tail = list(itertools.takewhile(lambda x: rank[x] >= bar, reversed(entries)))
-        for x in tail:
-            if side == "men":
-                self.delete(agent, x)
-            else:
-                self.delete(x, agent)
-
     def side_is_strict(self, side: str) -> bool:
-        lists, ranks = self._side(side)
+        lists, ranks, *_ = _sides(self, side)
         return all(
             len({rank[x] for x in entries}) == len(entries)
             for entries, rank in zip(lists, ranks)
@@ -308,72 +296,80 @@ class WorkingInstance:
         )
 
 
+def _sides(work: WorkingInstance, side: str):
+    """The lists and rank rows of ``side``, then those of the other side, and
+    a delete that takes an agent of ``side`` first."""
+    inst = work.inst
+    if side == "men":
+        return (work.men_lists, inst.men_rank, work.women_lists, inst.women_rank,
+                work.delete)
+    if side == "women":
+        return (work.women_lists, inst.women_rank, work.men_lists, inst.men_rank,
+                lambda w, m: work.delete(m, w))
+    raise ValueError(f"unknown side {side!r}")
+
+
 # ---------------------------------------------------------------------------
 # Deletion pipeline for one-sided bottom ties
 # ---------------------------------------------------------------------------
 
-def _resume_proposals(
-    work: WorkingInstance,
-    side: str,
-    fiancee: list[int | None],
-    fiance: list[int | None],
-) -> None:
-    """The proposal loop of ``propose_with``, resumed from the engagements of
-    an earlier pass on the same lists: ``fiancee`` maps each proposer to its
-    acceptor and ``fiance`` each acceptor to its proposer.
+def _resume_proposals(work: WorkingInstance, side: str) -> None:
+    """The proposal loop of ``propose_with``, resumed from the engagements
+    ``work.engaged[side]`` of an earlier pass on the same lists.
 
     Only agents with no engagement, or whose engagement pair has been deleted
     since, propose.  Deletion only shrinks lists, so a surviving engagement
     still has nothing worse than the fiance on the acceptor's list.
     """
-    inst = work.inst
-    if side == "men":
-        forward, acceptors = work.men_lists, "women"
-        acceptor_rank = inst.women_rank
-        orient = lambda a, b: (a, b)
-    else:
-        forward, acceptors = work.women_lists, "men"
-        acceptor_rank = inst.men_rank
-        orient = lambda a, b: (b, a)
-
+    lists, _, acceptor_lists, acceptor_rank, delete = _sides(work, side)
+    fiancee, fiance = work.engaged[side]
     for a, b in enumerate(fiancee):
-        if b is not None and b not in forward[a]:
+        if b is not None and b not in lists[a]:
             fiancee[a] = fiance[b] = None
     free = deque(a for a, b in enumerate(fiancee) if b is None)
     while free:
         a = free.popleft()
-        if not forward[a]:
+        if not lists[a]:
             raise DegenerateInstanceError(
                 f"proposing agent {a + 1} on the {side} side ran out of candidates"
             )
-        b = next(iter(forward[a]))
+        b = next(iter(lists[a]))
+        rank = acceptor_rank[b]
         p = fiance[b]
-        if p is not None and acceptor_rank[b][p] == acceptor_rank[b][a]:
-            work.delete(*orient(a, b))
+        if p is not None and rank[p] == rank[a]:
+            delete(a, b)
             free.append(a)
             continue
-        assert p is None or acceptor_rank[b][a] < acceptor_rank[b][p]
+        assert p is None or rank[a] < rank[p]
         if p is not None:
             fiancee[p] = None
             free.append(p)
         fiance[b] = a
         fiancee[a] = b
-        work.cut_tail(acceptors, b, acceptor_rank[b][a] + 1)
+        # b drops every entry it ranks below a, reading its list from the end
+        bar = rank[a]
+        tail = reversed(acceptor_lists[b])
+        for x in list(itertools.takewhile(lambda x: rank[x] > bar, tail)):
+            delete(x, b)
 
 
-def _checked_pass(
-    work: WorkingInstance,
-    side: str,
-    fiancee: list[int | None],
-    fiance: list[int | None],
-) -> None:
-    """Check that ``side`` is tie-free, resume its proposals, then sweep
-    the ties."""
-    if side not in ("men", "women"):
-        raise ValueError(f"unknown side {side!r}")
+def propose_with(work: WorkingInstance, side: str) -> WorkingInstance:
+    """One proposal-and-deletion pass from the given side, in place.
+
+    A free agent proposes to the first entry of its list.  An acceptor
+    holding a fiance it cannot rank against the proposer rejects the proposer
+    (deleting that pair); otherwise it accepts and deletes every strictly
+    worse entry.  A final one-pass sweep removes, for each man, any remaining
+    men his first woman ties with him, which clears all surviving ties.  The
+    pass starts from no engagements and leaves its own in ``work.engaged``.
+
+    The proposing side must be tie-free: men always are for one-sided
+    bottom-tie inputs, and women are once the men's pass has run.
+    """
     if not work.side_is_strict(side):
         raise PreconditionError(f"{side} still have ties; cannot propose")
-    _resume_proposals(work, side, fiancee, fiance)
+    work.engaged[side] = ([None] * work.n, [None] * work.n)
+    _resume_proposals(work, side)
     # Tie sweep: a woman's surviving tie can only contain her fiance's
     # tier-mates; one pass removes them all.
     for m in range(work.n):
@@ -384,21 +380,6 @@ def _checked_pass(
         tied = [m2 for m2 in work.women_lists[w] if m2 != m and wr[m2] == wr[m]]
         for m2 in tied:
             work.delete(m2, w)
-
-
-def propose_with(work: WorkingInstance, side: str) -> WorkingInstance:
-    """One proposal-and-deletion pass from the given side, in place.
-
-    A free agent proposes to the first entry of its list.  An acceptor
-    holding a fiance it cannot rank against the proposer rejects the proposer
-    (deleting that pair); otherwise it accepts and deletes every strictly
-    worse entry.  A final one-pass sweep removes, for each man, any remaining
-    men his first woman ties with him, which clears all surviving ties.
-
-    The proposing side must be tie-free: men always are for one-sided
-    bottom-tie inputs, and women are once the men's pass has run.
-    """
-    _checked_pass(work, side, [None] * work.n, [None] * work.n)
     return work
 
 
@@ -516,25 +497,23 @@ def deletion_stages(inst: Instance) -> Iterator[tuple[str, WorkingInstance]]:
     Yields a stage label ("start", "propose-men", "propose-women" or
     "rotation") and the working lists after every step: a men's pass and a
     women's pass, then one exposed rotation eliminated before the next two
-    passes, until no rotation remains.  Each side's passes resume its
-    engagements from its previous pass, so their total cost is the
+    passes, until no rotation remains.  Round one is two ``propose_with``
+    passes; after that each side's passes resume its engagements
+    (``work.engaged``) from its previous pass, so their total cost is the
     deletions.  Later steps change the yielded lists in place.  The
     precondition is checked on the first ``next``.
     """
     if not validate_one_sided_top_truncated(inst):
         raise PreconditionError(
-            "input must have strict men and women with at most one trailing tie"
+            "input must have strict men, and each woman may tie only her last tier"
         )
-    n = inst.n
     work = WorkingInstance(inst)
     yield "start", work
-    # each side's engagements: proposer to acceptor, acceptor to proposer
-    men, women = ([None] * n, [None] * n), ([None] * n, [None] * n)
-    step = _checked_pass
+    step = propose_with
     while True:
-        step(work, "men", *men)
+        step(work, "men")
         yield "propose-men", work
-        step(work, "women", *women)
+        step(work, "women")
         yield "propose-women", work
         rotation = find_exposed_rotation(work)
         if rotation is None:

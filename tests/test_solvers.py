@@ -423,6 +423,8 @@ def test_propose_with_rejects_an_unknown_side():
     inst = strict([[0, 1], [0, 1]], [[0, 1], [0, 1]])
     with pytest.raises(ValueError, match="unknown side 'couples'"):
         propose_with(WorkingInstance(inst), "couples")
+    with pytest.raises(ValueError, match="unknown side 'couples'"):
+        WorkingInstance(inst).side_is_strict("couples")
 
 
 def test_propose_with_clears_womens_ties(top_truncated_corpus):
@@ -636,6 +638,36 @@ def test_deletion_stages_match_restarted_passes_top_truncated():
             inst = gen_random(n, Fraction(1, 2), seed=seed, top_truncated=True)
             assert _snapshots(deletion_stages(inst)) == _snapshots(
                 _restarted_stages(inst)), (n, seed)
+
+
+def _ends_on_round_one(inst):
+    """The pipeline's final pairs equal the woman-optimal matching of the lists
+    after round one: each man's last entry, which is each woman's first."""
+    stages = deletion_stages(inst)
+    for label, work in stages:
+        if label == "propose-women":
+            break
+    last = {(m, next(reversed(entries))) for m, entries in enumerate(work.men_lists)}
+    first = {(next(iter(entries)), w) for w, entries in enumerate(work.women_lists)}
+    assert last == first
+    for _, work in stages:
+        pass
+    return work.pair_set() == last
+
+
+def test_pipeline_ends_on_the_woman_optimal_matching_of_round_one():
+    # After round one the lists are tie-free GS-lists (Gusfield & Irving
+    # 1989, section 1.2); rotations only walk the men down to its far end.
+    markets = [
+        bottom_tie_market(n, random.Random(seed))
+        for n in range(1, 9) for seed in range(400)
+    ]
+    markets += [
+        gen_random(n, Fraction(1, 2), seed=seed, top_truncated=True)
+        for n in (2, 3, 4, 5, 8, 13, 21, 40) for seed in range(10)
+    ]
+    markets += [gen_fig4(n, Fraction(1, 4))[0] for n in (8, 16, 40)]
+    assert [i for i, inst in enumerate(markets) if not _ends_on_round_one(inst)] == []
 
 
 def test_size_preservation_defect_is_still_present():
