@@ -640,24 +640,10 @@ def test_deletion_stages_match_restarted_passes_top_truncated():
                 _restarted_stages(inst)), (n, seed)
 
 
-def _ends_on_round_one(inst):
-    """The pipeline's final pairs equal the woman-optimal matching of the lists
-    after round one: each man's last entry, which is each woman's first."""
-    stages = deletion_stages(inst)
-    for label, work in stages:
-        if label == "propose-women":
-            break
-    last = {(m, next(reversed(entries))) for m, entries in enumerate(work.men_lists)}
-    first = {(next(iter(entries)), w) for w, entries in enumerate(work.women_lists)}
-    assert last == first
-    for _, work in stages:
-        pass
-    return work.pair_set() == last
-
-
 def test_pipeline_ends_on_the_woman_optimal_matching_of_round_one():
     # After round one the lists are tie-free GS-lists (Gusfield & Irving
-    # 1989, section 1.2); rotations only walk the men down to its far end.
+    # 1989, section 1.2): each man's last entry is the woman whose first
+    # entry he is, and eliminating rotations moves the men down to it.
     markets = [
         bottom_tie_market(n, random.Random(seed))
         for n in range(1, 9) for seed in range(400)
@@ -667,7 +653,16 @@ def test_pipeline_ends_on_the_woman_optimal_matching_of_round_one():
         for n in (2, 3, 4, 5, 8, 13, 21, 40) for seed in range(10)
     ]
     markets += [gen_fig4(n, Fraction(1, 4))[0] for n in (8, 16, 40)]
-    assert [i for i, inst in enumerate(markets) if not _ends_on_round_one(inst)] == []
+    for i, inst in enumerate(markets):
+        stages = deletion_stages(inst)
+        for label, work in stages:
+            if label == "propose-women":
+                break
+        last = {(m, next(reversed(ws))) for m, ws in enumerate(work.men_lists)}
+        assert last == {(next(iter(ms)), w) for w, ms in enumerate(work.women_lists)}, i
+        for _, work in stages:
+            pass
+        assert work.pair_set() == last, i
 
 
 def test_size_preservation_defect_is_still_present():
