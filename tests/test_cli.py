@@ -292,14 +292,38 @@ def test_verify_rejects_non_integer_agent_in_matching(tmp_path, capsys, bad):
 STRICT3 = [[1], [2], [3]]
 
 
-@pytest.mark.parametrize("agent, row", [
-    ("man 2", [[0], [1], [2]]),           # agent 0 is index -1 in memory
-    ("woman 1", [[1], [2], [4]]),         # agent n + 1
-    ("man 2", [[1], [], [2], [3]]),       # an empty tier
-    ("man 2", [[1], [2]]),                # ranks n - 1 agents
-    ("woman 1", [[1, 2], [2], [3]]),      # lists man 2 twice
+# (agent, row, the rest of the error line after "error: <agent>: ")
+MALFORMED_ROWS = [
+    # agent 0 is index -1 in memory
+    ("man 2", [[0], [1], [2]], "malformed tiers (index -1 is outside 0..2)"),
+    # agent n + 1
+    ("woman 1", [[1], [2], [4]], "malformed tiers (index 3 is outside 0..2)"),
+    ("man 2", [[1], [], [2], [3]], "malformed tiers (tier 2 is empty)"),
+    ("man 2", [[1], [2]], "ranks 2 agents, not 3"),
+    ("woman 1", [[1, 2], [2], [3]], "malformed tiers (index 1 is listed twice)"),
+    # a boolean inside a tie
+    ("man 2", [[1, True], [3]], "malformed tiers (expected an integer, got true)"),
+    ("woman 3", [[1.5], [2], [3]], "malformed tiers (expected an integer, got 1.5)"),
+    ("man 1", [[1], ["2"], [3]], 'malformed tiers (expected an integer, got "2")'),
+    # a bare integer for a tier
+    ("man 2", [1, [2], [3]], "malformed tiers ('int' object is not iterable)"),
+    # a bad entry before a bare integer tier is named first
+    ("man 2", [[True], 1], "malformed tiers (expected an integer, got true)"),
+    # nested one level too deep
+    ("man 2", [[[1]], [2], [3]], "malformed tiers (expected an integer, got [1])"),
+    # a row that is a dict iterates its keys
+    ("woman 2", {"1": [1]}, 'malformed tiers (expected an integer, got "1")'),
+    # two faults in one tie, listed out of order: the lower index is named
+    ("man 3", [[4, 0], [2]], "malformed tiers (index -1 is outside 0..2)"),
+    ("man 2", [[3, 2, 3, 2]], "malformed tiers (index 1 is listed twice)"),
+    ("woman 3", [[3, 3, 0]], "malformed tiers (index -1 is outside 0..2)"),
+]
+
+
+@pytest.mark.parametrize("agent, row, reason", [
+    pytest.param(*case, id=f"{case[0]}-row{i}") for i, case in enumerate(MALFORMED_ROWS)
 ])
-def test_solve_rejects_malformed_row(tmp_path, capsys, agent, row):
+def test_solve_rejects_malformed_row(tmp_path, capsys, agent, row, reason):
     label, number = agent.split()
     doc = {"n": 3, "men": [STRICT3] * 3, "women": [STRICT3] * 3}
     side = doc["men" if label == "man" else "women"]
@@ -307,7 +331,17 @@ def test_solve_rejects_malformed_row(tmp_path, capsys, agent, row):
     ipath = tmp_path / "i.json"
     ipath.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["solve", "--algo", "gs", "--input", str(ipath)]) == 2
-    assert f"error: {agent}:" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {agent}: {reason}\n"
+
+
+def test_unsorted_tie_members_parse_like_sorted_ones():
+    ties = [[[1, 3], [2]], [[2], [1, 3]], [[1, 2, 3]]]
+    shuffled = [[[3, 1], [2]], [[2], [3, 1]], [[3, 1, 2]]]
+    sorted_inst = instance_from_dict({"n": 3, "men": ties, "women": [STRICT3] * 3})
+    unsorted = instance_from_dict({"n": 3, "men": shuffled, "women": [STRICT3] * 3})
+    assert unsorted == sorted_inst
+    assert unsorted.men[0].order == (0, 2, 1)
+    assert unsorted.men[0].tiers == ((0, 2), (1,))
 
 
 def _bad_kmax(tmp_path):

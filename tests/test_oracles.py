@@ -8,6 +8,7 @@ import pytest
 
 from minimaxsm import (
     Matching,
+    SolveReport,
     TierList,
     Instance,
     ValidationError,
@@ -30,7 +31,7 @@ from minimaxsm.cli import main
 from minimaxsm.files import save_instance, save_matching
 from minimaxsm.generators import gen_fig1, gen_random
 
-from conftest import strict, tiered
+from conftest import strict, tiered, two_sided_tie_market
 
 BIG = OracleBudget(max_agents=8, max_completions=10**6, max_matchings=10**6)
 
@@ -182,6 +183,38 @@ def test_max_bp_equals_super_bp_count(mixed_corpus):
                     for cm, cw in completions
                 )
                 assert max_bp_over_completions(inst, matching) == worst == len(sbps)
+    # matchings that leave agents unmatched on both sides, on the same corpus
+    # and on two-sided-tie markets past the oracle's reach
+    rng = random.Random(8)
+    markets = [(inst, 3) for inst in mixed_corpus]
+    markets += [(two_sided_tie_market(n, rng), 6) for n in range(6, 11) for _ in range(4)]
+    for inst, count in markets:
+        n = inst.n
+        for _ in range(count):
+            perm = rng.sample(range(n), n)
+            pairs = [(m, perm[m]) for m in rng.sample(range(n), rng.randrange(n))]
+            _check_by_definition(inst, Matching(pairs))
+        _check_by_definition(inst, Matching(enumerate(rng.sample(range(n), n))))
+
+
+def _check_by_definition(inst, matching):
+    """The scans, the report's lists and the witness's recount against the
+    blocking pairs written out from tier membership."""
+    men = [tl.tiers for tl in inst.men]
+    women = [tl.tiers for tl in inst.women]
+    sbps = _pairs_by_definition(men, women, matching, _as_good)
+    obvious = _pairs_by_definition(men, women, matching, _better)
+    assert super_blocking_pairs(inst, matching) == sbps
+    assert obvious_blocking_pairs(inst, matching) == obvious
+    report = SolveReport.build(inst, matching, "check")
+    assert report.super_blocking_pairs == tuple(sbps)
+    assert report.obvious_blocking_pairs == tuple(obvious)
+    witness = report.witness_completion
+    assert witness.refines(inst)
+    assert witness.blocking_pairs(matching) == _pairs_by_definition(
+        [tl.tiers for tl in witness.men], [tl.tiers for tl in witness.women],
+        matching, _better,
+    ) == sbps
 
 
 # Tier sizes per agent, n men then n women, dealt at random; the completion
