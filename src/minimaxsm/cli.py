@@ -9,7 +9,14 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import gc
+import hashlib
+import os
+import platform
+import random
+import statistics
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -18,6 +25,7 @@ from .core import Instance, ValidationError, compute_delta
 from . import files
 from .generators import (
     GeneratorError,
+    bottom_tie_market,
     UndirectedGraph,
     build_yes_matching,
     gen_fig1,
@@ -25,6 +33,7 @@ from .generators import (
     gen_fig4,
     gen_random,
     gen_vc_reduction,
+    two_sided_tie_market,
     verify_block_claims,
 )
 from .oracles import (
@@ -268,7 +277,76 @@ def _bench_random(seed: int) -> list[dict]:
     return rows
 
 
+SCALE_SIZES = (100, 200, 400, 800)
+SCALE_REPEATS = 3
+SCALE_PHASES = ("end_to_end_ms", "parse_ms", "solve_ms", "certify_ms", "serialize_ms")
+
+
+def _bench_scale(workdir: Path) -> list[dict]:
+    """One record per market: a file-to-report solve of a fixed-seed tied
+    market (``random.Random(1)``), run SCALE_REPEATS times, each phase's
+    median in ms.  Parse is ``load_instance``, solve the solver call (its own
+    certificate included), serialize ``report_to_dict`` plus ``write_json``,
+    and end to end the three timed in one stretch.  Certify is one extra
+    ``SolveReport.build`` on the reported matching, timed alone."""
+    families = (
+        ("two_sided_tie_market", two_sided_tie_market,
+         lambda inst: gale_shapley_completion(inst, seed=0)),
+        ("bottom_tie_market", bottom_tie_market, min_delete_approx),
+    )
+    records = []
+    for family, make, solve in families:
+        for n in SCALE_SIZES:
+            ipath = workdir / f"{family}-{n}.json"
+            files.save_instance(make(n, random.Random(1)), ipath)
+            runs, reports = [], set()
+            for rep in range(SCALE_REPEATS):
+                # a fresh path each run: rewriting a file can stall in open()
+                rpath = workdir / f"{family}-{n}-{rep}.report.json"
+                gc.collect()
+                start = time.perf_counter()
+                inst = files.load_instance(ipath)
+                parsed = time.perf_counter()
+                report = solve(inst)
+                solved = time.perf_counter()
+                files.write_json(rpath, files.report_to_dict(report))
+                written = time.perf_counter()
+                SolveReport.build(inst, report.matching, report.algorithm)
+                certified = time.perf_counter()
+                runs.append((written - start, parsed - start, solved - parsed,
+                             certified - written, written - solved))
+                reports.add((report.algorithm, report.super_bp_count,
+                             hashlib.sha256(rpath.read_bytes()).hexdigest()[:16]))
+                rpath.unlink()
+                del inst, report
+            if len(reports) != 1:
+                raise RuntimeError(f"{family} n={n}: the report differed between runs")
+            algorithm, count, digest = reports.pop()
+            records.append({
+                "family": family,
+                "n": n,
+                "algorithm": algorithm,
+                "super_bp_count": count,
+                "report_sha256": digest,
+                **{phase: round(1000 * statistics.median(times), 3)
+                   for phase, times in zip(SCALE_PHASES, zip(*runs))},
+            })
+    return records
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
+    if args.suite == "scale":
+        with tempfile.TemporaryDirectory() as tmp:
+            records = _bench_scale(Path(tmp))
+        files.write_json(args.out, {
+            "suite": "scale",
+            "repeats": SCALE_REPEATS,
+            "python": platform.python_version(),
+            "cpus": os.cpu_count(),
+            "records": records,
+        })
+        print(args.out)
+        return 0
     rows = _bench_paper() if args.suite == "paper" else _bench_random(args.seed)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS, lineterminator="\n")
@@ -330,9 +408,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="write the experiment matrix as CSV")
-    p.add_argument("--suite", required=True, choices=["paper", "random"])
+    p.add_argument("--suite", required=True, choices=["paper", "random", "scale"],
+                   help="scale writes JSON timings of fixed-seed markets, n=100-800")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="seed of the random suite")
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -734,3 +734,39 @@ def _random_strict(n: int, rng: random.Random) -> list[list[int]]:
     order = list(range(n))
     rng.shuffle(order)
     return [[x] for x in order]
+
+
+# ---------------------------------------------------------------------------
+# Seeded tied markets: ties on both sides, or strict men and bottom-tied women
+# ---------------------------------------------------------------------------
+
+def tied_order(rng, order, merge):
+    """Tiers over ``order`` that tie each entry to the previous one with
+    probability ``merge``."""
+    tiers = [[order[0]]]
+    for x in order[1:]:
+        if rng.random() < merge:
+            tiers[-1].append(x)
+        else:
+            tiers.append([x])
+    return tiers
+
+
+def bottom_tie_market(n, rng):
+    """Strict men; each woman ties a trailing run of length 1 to n."""
+    men = [[[x] for x in rng.sample(range(n), n)] for _ in range(n)]
+    women = []
+    for _ in range(n):
+        order = rng.sample(range(n), n)
+        cut = rng.randrange(n)
+        women.append([[x] for x in order[:cut]] + [order[cut:]])
+    return Instance(men, women)
+
+
+def two_sided_tie_market(n, rng):
+    """Ties on both sides: each entry joins the previous tier with
+    probability 0.3."""
+    return Instance(
+        [tied_order(rng, rng.sample(range(n), n), 0.3) for _ in range(n)],
+        [tied_order(rng, rng.sample(range(n), n), 0.3) for _ in range(n)],
+    )

@@ -9,6 +9,11 @@ from fractions import Fraction
 import pytest
 
 from minimaxsm import Instance, TierList, gen_random, super_stable_solve
+from minimaxsm.generators import (  # noqa: F401  (shared with the test modules)
+    bottom_tie_market,
+    tied_order,
+    two_sided_tie_market,
+)
 from minimaxsm.oracles import count_completions
 
 
@@ -23,38 +28,6 @@ def strict(men_orders, women_orders) -> Instance:
 def tiered(men, women) -> Instance:
     """Instance from raw 0-based tier lists."""
     return Instance(men, women)
-
-
-def tied_order(rng, order, merge):
-    """Tiers over ``order`` that tie each entry to the previous one with
-    probability ``merge``."""
-    tiers = [[order[0]]]
-    for x in order[1:]:
-        if rng.random() < merge:
-            tiers[-1].append(x)
-        else:
-            tiers.append([x])
-    return tiers
-
-
-def bottom_tie_market(n, rng):
-    """Strict men; each woman ties a trailing run of length 1 to n."""
-    men = [[[x] for x in rng.sample(range(n), n)] for _ in range(n)]
-    women = []
-    for _ in range(n):
-        order = rng.sample(range(n), n)
-        cut = rng.randrange(n)
-        women.append([[x] for x in order[:cut]] + [order[cut:]])
-    return tiered(men, women)
-
-
-def two_sided_tie_market(n, rng):
-    """Ties on both sides: each entry joins the previous tier with
-    probability 0.3."""
-    return tiered(
-        [tied_order(rng, rng.sample(range(n), n), 0.3) for _ in range(n)],
-        [tied_order(rng, rng.sample(range(n), n), 0.3) for _ in range(n)],
-    )
 
 
 def small_random_corpus(

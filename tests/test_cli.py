@@ -15,7 +15,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import minimaxsm
-from minimaxsm import Instance, Matching, ValidationError
+from minimaxsm import (
+    Instance,
+    Matching,
+    ValidationError,
+    cli,
+    gale_shapley_completion,
+    generators,
+    min_delete_approx,
+)
 from minimaxsm.cli import build_parser, main
 from minimaxsm.files import (
     dumps,
@@ -25,6 +33,7 @@ from minimaxsm.files import (
     load_matching,
     matching_from_dict,
     matching_to_dict,
+    report_to_dict,
     save_instance,
     save_matching,
 )
@@ -500,6 +509,30 @@ def test_bench_random_exact_matches_oracle(tmp_path):
     for row in read_rows(out):
         if row["algorithm"] == "exact":
             assert int(row["super_bp_count"]) == int(row["oracle_optimum"])
+
+
+def test_bench_scale_suite_records_each_phase(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "SCALE_SIZES", (5, 9))
+    out = tmp_path / "scale.json"
+    assert main(["bench", "--suite", "scale", "--out", str(out)]) == 0
+    records = json.loads(out.read_text(encoding="utf-8"))["records"]
+    assert [(r["family"], r["n"], r["algorithm"]) for r in records] == [
+        ("two_sided_tie_market", 5, "gs"), ("two_sided_tie_market", 9, "gs"),
+        ("bottom_tie_market", 5, "algo1"), ("bottom_tie_market", 9, "algo1"),
+    ]
+    for record in records:
+        inst = getattr(generators, record["family"])(record["n"], random.Random(1))
+        if record["algorithm"] == "gs":
+            report = gale_shapley_completion(inst, seed=0)
+        else:
+            report = min_delete_approx(inst)
+        text = dumps(report_to_dict(report)) + "\n"
+        assert record["super_bp_count"] == report.super_bp_count
+        assert record["report_sha256"] == hashlib.sha256(text.encode()).hexdigest()[:16]
+        phases = [record[k] for k in ("parse_ms", "solve_ms", "serialize_ms")]
+        assert min(phases) > 0 and record["certify_ms"] > 0
+        # each phase's median is taken apart, so allow the sum some slack
+        assert record["end_to_end_ms"] >= 0.5 * sum(phases)
 
 
 def test_csv_uses_lf_line_endings(tmp_path):
