@@ -35,31 +35,40 @@ class TierList:
     rank: tuple[int, ...]
 
     def __init__(self, tiers: Iterable[Iterable[int]]):
-        tiers = [sorted(t) for t in tiers]
-        if not all(tiers):
-            raise ValidationError(f"tier {tiers.index([]) + 1} is empty")
-        order = list(itertools.chain.from_iterable(tiers))
-        self._fill(order, [r for r, tier in enumerate(tiers) for _ in tier])
+        tiers = [list(t) for t in tiers]
+        self._fill(list(itertools.chain.from_iterable(tiers)), list(map(len, tiers)))
+
+    @classmethod
+    def from_flat(cls, entries: Sequence[int], sizes: Sequence[int]) -> "TierList":
+        """Row from its entries, best tier first and in any order within a
+        tier, and the size of each tier."""
+        tl = cls.__new__(cls)
+        tl._fill(entries, sizes)
+        return tl
 
     @classmethod
     def from_order(cls, order: Iterable[int]) -> "TierList":
         """Strict list: every tier a singleton, so rank is position."""
-        tl = cls.__new__(cls)
         order = tuple(order)
-        tl._fill(order, range(len(order)))
-        return tl
+        return cls.from_flat(order, [1] * len(order))
 
-    def _fill(self, order: Sequence[int], tier_of: Iterable[int]) -> None:
-        """Store ``order`` and its rank row after checking that ``order``
-        lists each of 0..len(order)-1 once (range first: rank[-1] exists)."""
-        n = len(order)
+    def _fill(self, entries: Sequence[int], sizes: Sequence[int]) -> None:
+        """Store the row after checking that ``entries`` lists each of
+        0..len(entries)-1 once (range first: rank[-1] exists) and that no
+        tier is empty; ``sizes`` must add up to len(entries)."""
+        n = len(entries)
+        if 0 in sizes:
+            raise ValidationError(f"tier {sizes.index(0) + 1} is empty")
+        strict = len(sizes) == n
+        tier_of = range(n) if strict else itertools.chain.from_iterable(
+            map(itertools.repeat, range(len(sizes)), sizes))
         rank = [-1] * n
-        for x, r in zip(order, tier_of):
-            if not 0 <= x < n:
-                raise ValidationError(f"index {x} is outside 0..{n - 1}")
-            if rank[x] >= 0:
-                raise ValidationError(f"index {x} is listed twice")
+        for x, r in zip(entries, tier_of):
+            if not 0 <= x < n or rank[x] >= 0:
+                raise ValidationError(_first_fault(entries, sizes))
             rank[x] = r
+        # a stable sort by tier leaves each tier ascending
+        order = entries if strict else sorted(range(n), key=rank.__getitem__)
         object.__setattr__(self, "order", tuple(order))
         object.__setattr__(self, "rank", tuple(rank))
 
@@ -90,6 +99,21 @@ class TierList:
 
     def count_linear_orders(self) -> int:
         return math.prod(map(math.factorial, Counter(self.rank).values()))
+
+
+def _first_fault(entries: Sequence[int], sizes: Sequence[int]) -> str:
+    """The first out-of-range or repeated index of a row whose tiers are
+    each read in ascending order."""
+    n, seen, start = len(entries), set(), 0
+    for size in sizes:
+        for x in sorted(entries[start:start + size]):
+            if not 0 <= x < n:
+                return f"index {x} is outside 0..{n - 1}"
+            if x in seen:
+                return f"index {x} is listed twice"
+            seen.add(x)
+        start += size
+    raise AssertionError("the row has no fault")
 
 
 def _rows(raw: Sequence, n: int, label: str) -> tuple[TierList, ...]:
@@ -255,15 +279,25 @@ class Matching:
         return f"Matching({list(self.pairs)})"
 
 
+def _strict_row(row: Iterable[int] | TierList) -> TierList:
+    if not isinstance(row, TierList):
+        return TierList.from_order(row)
+    if not row.is_strict:
+        raise ValidationError("a completion row must be strict")
+    return row
+
+
 class Completion(Instance):
     """A completion: one strict linear order per agent, held as an instance
     whose every tier is a singleton."""
 
-    def __init__(self, men_orders: Iterable[Iterable[int]],
-                 women_orders: Iterable[Iterable[int]]):
+    def __init__(self, men_orders: Iterable[Iterable[int] | TierList],
+                 women_orders: Iterable[Iterable[int] | TierList]):
+        """Each row is a linear order, or a strict ``TierList``, which is
+        taken as it is."""
         super().__init__(
-            [TierList.from_order(o) for o in men_orders],
-            [TierList.from_order(o) for o in women_orders],
+            [_strict_row(o) for o in men_orders],
+            [_strict_row(o) for o in women_orders],
         )
 
     def refines(self, inst: Instance) -> bool:
@@ -282,7 +316,7 @@ class Completion(Instance):
 
         An unmatched agent prefers every partner to staying single.
         """
-        return _blocking_pairs(self.men_rank, self.women_rank, matching, strict=False)
+        return _blocking_pairs(self, matching, strict=False)
 
 
 # ---------------------------------------------------------------------------
@@ -311,44 +345,91 @@ def compute_delta(inst: Instance) -> Fraction:
 # strictly (hence also weakly) prefers every partner to staying single.
 # ---------------------------------------------------------------------------
 
+def _bars(
+    ranks: Sequence[Sequence[int]], partners: Sequence[int | None], strict: bool
+) -> list[int]:
+    """For each agent, the worst rank it approves: its partner's, or one
+    better with ``strict`` (ranks are integers); n when it is unmatched,
+    since every rank is below n and anyone beats staying single."""
+    return [
+        len(row) if partner is None else row[partner] - 1 if strict else row[partner]
+        for row, partner in zip(ranks, partners)
+    ]
+
+
 def approvals(
-    ranks: Sequence[Sequence[int]], partners: Sequence[int | None], strict: bool = False
+    ranks: Sequence[Sequence[int]],
+    partners: Sequence[int | None],
+    strict: bool = False,
+    orders: Sequence[Sequence[int]] | None = None,
 ) -> list[list[int]]:
     """For each agent, the ascending list of opposite-side agents it prefers to
     its partner: tied or better, or only strictly better with ``strict``.
     This is the one comparison behind every blocking-pair scan.
+
+    ``orders`` are the agents' rows best first (``TierList.order``), which
+    rank each row; they are derived from ``ranks`` when not given.  The
+    approved agents are a prefix of the order, cut with one bisect on rank.
     """
+    if orders is None:
+        orders = [sorted(range(len(row)), key=row.__getitem__) for row in ranks]
     out = []
-    for row, partner in zip(ranks, partners):
-        if partner is None:
-            bar = len(row)  # every rank is below n: anyone beats staying single
-        else:
-            bar = row[partner] - 1 if strict else row[partner]  # ranks are integers
-        out.append([x for x, r in enumerate(row) if r <= bar and x != partner])
+    for order, row, partner, bar in zip(
+        orders, ranks, partners, _bars(ranks, partners, strict)
+    ):
+        approved = list(order[:bisect.bisect_right(order, bar, key=row.__getitem__)])
+        if partner is not None and not strict:
+            approved.remove(partner)
+        approved.sort()
+        out.append(approved)
     return out
 
 
 def _blocking_pairs(
-    men_rank: Sequence, women_rank: Sequence, matching: Matching, strict: bool
+    inst: Instance, matching: Matching, strict: bool
 ) -> list[tuple[int, int]]:
-    """Pairs whose members approve each other, in (man, woman) row-major order."""
-    n = len(men_rank)
+    """Pairs whose members approve each other, in (man, woman) row-major
+    order: each man's approved women, each kept when she ranks him within
+    her bar."""
+    n = inst.n
     matching.validate_for(n)
-    men = approvals(men_rank, [matching.woman_of(m) for m in range(n)], strict)
-    women_partners = [matching.man_of(w) for w in range(n)]
-    women = [set(a) for a in approvals(women_rank, women_partners, strict)]
-    return [(m, w) for m, ws in enumerate(men) for w in ws if m in women[w]]
+    men = approvals(
+        inst.men_rank, [matching.woman_of(m) for m in range(n)], strict,
+        [tl.order for tl in inst.men],
+    )
+    bars = _bars(inst.women_rank, [matching.man_of(w) for w in range(n)], strict)
+    women_rank = inst.women_rank
+    return [
+        (m, w) for m, ws in enumerate(men) for w in ws if women_rank[w][m] <= bars[w]
+    ]
 
 
 def obvious_blocking_pairs(inst: Instance, matching: Matching) -> list[tuple[int, int]]:
     """Both sides strictly prefer each other to their current partners."""
-    return _blocking_pairs(inst.men_rank, inst.women_rank, matching, strict=True)
+    return _blocking_pairs(inst, matching, strict=True)
 
 
 def super_blocking_pairs(inst: Instance, matching: Matching) -> list[tuple[int, int]]:
     """Both sides strictly prefer or are incomparable between the other and
     their current partner."""
-    return _blocking_pairs(inst.men_rank, inst.women_rank, matching, strict=False)
+    return _blocking_pairs(inst, matching, strict=False)
+
+
+def obvious_among(
+    inst: Instance, matching: Matching, pairs: Iterable[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """The pairs of ``pairs`` whose members both strictly prefer each other
+    to their partners, in the given order.  Every obvious-blocking pair is
+    super-blocking, so this filters the super-blocking pairs down to the
+    obvious ones without a second scan."""
+    n = inst.n
+    men_bars = _bars(inst.men_rank, [matching.woman_of(m) for m in range(n)], True)
+    women_bars = _bars(inst.women_rank, [matching.man_of(w) for w in range(n)], True)
+    men_rank, women_rank = inst.men_rank, inst.women_rank
+    return [
+        (m, w) for m, w in pairs
+        if men_rank[m][w] <= men_bars[m] and women_rank[w][m] <= women_bars[w]
+    ]
 
 
 def count_super_blocking_pairs(inst: Instance, matching: Matching) -> int:
@@ -386,7 +467,11 @@ def build_witness_completion(
         men_block.setdefault(m, set()).add(w)
         women_block.setdefault(w, set()).add(m)
 
-    def complete(tl: TierList, partner: int | None, blockers: set[int]) -> tuple[int, ...]:
+    def complete(
+        tl: TierList, partner: int | None, blockers: set[int]
+    ) -> tuple[int, ...] | TierList:
+        if tl.is_strict:
+            return tl  # its only completion
         order = tl.order
         if partner is None:
             return order

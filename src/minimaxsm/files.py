@@ -3,6 +3,7 @@ indices on disk; everything in memory is 0-based."""
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -30,6 +31,24 @@ def _integer(value) -> int:
     return value
 
 
+def _row(tiers) -> TierList:
+    """One agent's 1-based tiers as a checked row.  The entries are
+    type-checked together; only when that fails are they walked one by one,
+    to name the first bad entry (a ``TypeError`` for a tier that is not a
+    list, a ``ValidationError`` for an entry that is not an integer)."""
+    try:
+        flat = list(itertools.chain.from_iterable(tiers))
+        typed = set(map(type, flat)) <= {int}
+    except TypeError:
+        typed = False
+    if not typed:
+        for tier in tiers:
+            for x in tier:
+                _integer(x)
+        raise AssertionError("a bad entry was not found")
+    return TierList.from_flat([x - 1 for x in flat], list(map(len, tiers)))
+
+
 def instance_from_dict(doc: dict) -> Instance:
     try:
         n = _integer(doc["n"])
@@ -44,12 +63,11 @@ def instance_from_dict(doc: dict) -> Instance:
         out = []
         for i, tiers in enumerate(raw):
             try:
-                tl = TierList([_integer(x) - 1 for x in t] for t in tiers)
+                out.append(_row(tiers))
             except (TypeError, ValueError) as exc:
                 raise ValidationError(
                     f"{agent} {i + 1}: malformed tiers ({exc})"
                 ) from exc
-            out.append(tl)
         return out
 
     return Instance(side(raw_men, "men", "man"), side(raw_women, "women", "woman"))

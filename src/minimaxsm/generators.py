@@ -585,8 +585,10 @@ def block_intra_super_bps(
     """Super-blocking pairs of a canonical gadget matching, restricted to the
     gadget's own men and women."""
     pairs = sorted(pairs)
-    men = approvals([inst.men_rank[m] for m, _ in pairs], [w for _, w in pairs])
-    women = approvals([inst.women_rank[w] for _, w in pairs], [m for m, _ in pairs])
+    men = approvals([inst.men_rank[m] for m, _ in pairs], [w for _, w in pairs],
+                    False, [inst.men[m].order for m, _ in pairs])
+    women = approvals([inst.women_rank[w] for _, w in pairs], [m for m, _ in pairs],
+                      False, [inst.women[w].order for _, w in pairs])
     approved_by = {w: set(a) for (_, w), a in zip(pairs, women)}
     return [
         (m, w)

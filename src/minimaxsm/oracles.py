@@ -93,10 +93,11 @@ def max_bp_over_completions(
         for a, (tl, partner) in enumerate(zip(side, partners)):
             # each linear order of a checked row is a permutation, and
             # sorting positions by agent inverts it into a rank row
-            orders = [sorted(range(n), key=o.__getitem__) for o in tl.linear_orders()]
+            orders = list(tl.linear_orders())
+            ranks = [sorted(range(n), key=o.__getitem__) for o in orders]
             per_agent.append({
                 sum(1 << (a * own_step + b * other_step) for b in approved)
-                for approved in approvals(orders, [partner] * len(orders))
+                for approved in approvals(ranks, [partner] * len(orders), False, orders)
             })
         # each agent owns its own bits, so adding the agents' masks unions them
         return map(sum, itertools.product(*per_agent))

@@ -18,7 +18,8 @@ from .core import (
     TierList,
     ValidationError,
     build_witness_completion,
-    obvious_blocking_pairs,
+    obvious_among,
+    obvious_blocking_pairs,  # noqa: F401  (perfbench's tracer wraps this name here)
     super_blocking_pairs,
     validate_one_sided_top_truncated,
 )
@@ -51,8 +52,10 @@ class SolveReport:
 
     @classmethod
     def build(cls, inst: Instance, matching: Matching, algorithm: str) -> "SolveReport":
-        """Certify ``matching``: the one super-blocking scan feeds the witness,
-        and the witness's blocking pairs must recount exactly those pairs."""
+        """Certify ``matching``: the one super-blocking scan feeds the witness
+        and the obvious-blocking pairs, which are the super-blocking pairs
+        both of whose members strictly approve, and the witness's blocking
+        pairs must recount exactly the super-blocking pairs."""
         sbps = super_blocking_pairs(inst, matching)
         witness = build_witness_completion(inst, matching, sbps)
         recount = witness.blocking_pairs(matching)
@@ -65,7 +68,7 @@ class SolveReport:
             algorithm=algorithm,
             matching=matching,
             super_blocking_pairs=tuple(sbps),
-            obvious_blocking_pairs=tuple(obvious_blocking_pairs(inst, matching)),
+            obvious_blocking_pairs=tuple(obvious_among(inst, matching, sbps)),
             witness_completion=witness,
         )
 
@@ -78,8 +81,12 @@ class SolveReport:
 # Weakly-stable matching from an arbitrary completion
 # ---------------------------------------------------------------------------
 
-def _complete_orders(tl: TierList, rng: random.Random | None) -> Sequence[int]:
-    if rng is None or tl.is_strict:
+def _complete_orders(
+    tl: TierList, rng: random.Random | None
+) -> Sequence[int] | TierList:
+    if tl.is_strict:
+        return tl
+    if rng is None:
         return tl.order
     out: list[int] = []
     for tier in tl.tiers:
@@ -284,10 +291,11 @@ class WorkingInstance:
         del self.women_lists[woman][man]
 
     def side_is_strict(self, side: str) -> bool:
-        lists, ranks, *_ = _sides(self, side)
+        # deletion keeps a strict row strict, so only tied rows are scanned
+        lists, rows, *_ = _sides(self, side)
         return all(
-            len({rank[x] for x in entries}) == len(entries)
-            for entries, rank in zip(lists, ranks)
+            tl.is_strict or len({tl.rank[x] for x in entries}) == len(entries)
+            for entries, tl in zip(lists, rows)
         )
 
     def pair_set(self) -> frozenset[tuple[int, int]]:
@@ -297,14 +305,14 @@ class WorkingInstance:
 
 
 def _sides(work: WorkingInstance, side: str):
-    """The lists and rank rows of ``side``, then those of the other side, and
-    a delete that takes an agent of ``side`` first."""
+    """The lists and instance rows of ``side``, then the lists and rank rows
+    of the other side, and a delete that takes an agent of ``side`` first."""
     inst = work.inst
     if side == "men":
-        return (work.men_lists, inst.men_rank, work.women_lists, inst.women_rank,
+        return (work.men_lists, inst.men, work.women_lists, inst.women_rank,
                 work.delete)
     if side == "women":
-        return (work.women_lists, inst.women_rank, work.men_lists, inst.men_rank,
+        return (work.women_lists, inst.women, work.men_lists, inst.men_rank,
                 lambda w, m: work.delete(m, w))
     raise ValueError(f"unknown side {side!r}")
 
