@@ -367,9 +367,9 @@ def approvals(
     its partner: tied or better, or only strictly better with ``strict``.
     This is the one comparison behind every blocking-pair scan.
 
-    ``orders`` are the agents' rows best first (``TierList.order``), which
-    rank each row; they are derived from ``ranks`` when not given.  The
-    approved agents are a prefix of the order, cut with one bisect on rank.
+    ``orders`` holds each agent's row best first (``TierList.order``) and is
+    derived from ``ranks`` when not given.  The approved agents are a prefix
+    of the order, cut with one bisect on rank.
     """
     if orders is None:
         orders = [sorted(range(len(row)), key=row.__getitem__) for row in ranks]
