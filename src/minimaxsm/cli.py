@@ -280,14 +280,16 @@ def _bench_random(seed: int) -> list[dict]:
 SCALE_SIZES = (100, 200, 400, 800)
 SCALE_REPEATS = 3
 SCALE_PHASES = ("end_to_end_ms", "parse_ms", "solve_ms", "certify_ms", "serialize_ms")
+SCALE_STATS = (("", statistics.median), ("_min", min), ("_max", max))
 
 
 def _bench_scale(workdir: Path) -> list[dict]:
     """One record per market: a file-to-report solve of a fixed-seed tied
     market (``random.Random(1)``), run SCALE_REPEATS times, each phase's
-    median in ms.  Parse is ``load_instance``, solve the solver call (its own
-    certificate included), serialize ``report_to_dict`` plus ``write_json``,
-    and end to end the three timed in one stretch.  Certify is one extra
+    median in ms beside its min (``<phase>_min``) and max (``<phase>_max``).
+    Parse is ``load_instance``, solve the solver call (its own certificate
+    included), serialize ``report_to_dict`` plus ``write_json``, and end to
+    end the three timed in one stretch.  Certify is one extra
     ``SolveReport.build`` on the reported matching, timed alone."""
     families = (
         ("two_sided_tie_market", two_sided_tie_market,
@@ -328,8 +330,9 @@ def _bench_scale(workdir: Path) -> list[dict]:
                 "algorithm": algorithm,
                 "super_bp_count": count,
                 "report_sha256": digest,
-                **{phase: round(1000 * statistics.median(times), 3)
-                   for phase, times in zip(SCALE_PHASES, zip(*runs))},
+                **{phase + suffix: round(1000 * stat(times), 3)
+                   for phase, times in zip(SCALE_PHASES, zip(*runs))
+                   for suffix, stat in SCALE_STATS},
             })
     return records
 

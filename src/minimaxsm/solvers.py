@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
@@ -263,40 +264,195 @@ def exact_min_super_bp(inst: Instance, k_max: int | None = None) -> SolveReport 
 
 
 # ---------------------------------------------------------------------------
-# Working lists with symmetric deletion
+# Working lists as bounds over the instance's rows
 # ---------------------------------------------------------------------------
 
+def _side(side: str) -> int:
+    if side == "men":
+        return 0
+    if side == "women":
+        return 1
+    raise ValueError(f"unknown side {side!r}")
+
+
+class _Side:
+    """One side of a working instance: the rows, and per agent the bounds
+    and cursors that ``WorkingInstance`` describes.  The cursor readers take
+    the other side, whose bounds decide the rest of each pair."""
+
+    __slots__ = ("order", "rank", "strict", "lo", "hi", "kept",
+                 "head", "second", "tail", "clamped", "moved")
+
+    def __init__(self, rows: Sequence[TierList], n: int):
+        self.order = tuple(tl.order for tl in rows)
+        self.rank = tuple(tl.rank for tl in rows)
+        self.strict = tuple(tl.is_strict for tl in rows)
+        self.lo, self.hi, self.kept = [0] * n, [n] * n, [-1] * n
+        self.head, self.second, self.tail = [0] * n, [1] * n, [n - 1] * n
+        self.clamped = [n] * n
+        self.moved: list[int] = []
+
+    def holds(self, a: int, b: int) -> bool:
+        """Whether ``a``'s own bounds still admit ``b``."""
+        x, hi = self.rank[a][b], self.hi[a]
+        return self.lo[a] <= x and (x < hi or x == hi and b == self.kept[a])
+
+    def scan(self, a: int, other: "_Side", i: int, stop: int, step: int = 1) -> int:
+        """The first position from ``i`` to ``stop`` (``step`` 1 or -1) on
+        ``a``'s row whose entry is alive, or ``stop + step`` if none is."""
+        order, rank, lo, hi, kept = (
+            self.order[a], self.rank[a], self.lo[a], self.hi[a], self.kept[a])
+        other_rank, other_lo, other_hi, other_kept = (
+            other.rank, other.lo, other.hi, other.kept)
+        end = stop + step
+        while i != end:
+            # the entry's own bounds fail far more often than a's
+            b = order[i]
+            y, bar = other_rank[b][a], other_hi[b]
+            if y <= bar and (y < bar or a == other_kept[b]) and other_lo[b] <= y:
+                x = rank[b]
+                if lo <= x and (x < hi or x == hi and b == kept):
+                    return i
+            i += step
+        return i
+
+    def clamp(self, a: int) -> int:
+        """``a``'s tail cursor, pulled in to its bar.  Where rank is position
+        the proposal loop moves it with the bar; elsewhere it is pulled in
+        here, once per bar."""
+        if not self.strict[a]:
+            bar = self.hi[a] + (self.kept[a] >= 0)
+            if bar != self.clamped[a]:
+                self.clamped[a] = bar
+                end = bisect_left(self.order[a], bar, key=self.rank[a].__getitem__)
+                if end <= self.tail[a]:
+                    self.tail[a] = end - 1
+        return self.tail[a]
+
+    def first(self, a: int, other: "_Side") -> int | None:
+        tail, i = self.clamp(a), self.head[a]
+        if i <= tail:
+            i = self.head[a] = self.scan(a, other, i, tail)
+        return self.order[a][i] if i <= tail else None
+
+    def top_two(self, a: int, other: "_Side") -> tuple[int | None, int | None]:
+        """``a``'s first and second entries, each None when missing."""
+        first = self.first(a, other)
+        if first is None:
+            return None, None
+        tail, j = self.tail[a], self.second[a]
+        if j <= self.head[a]:
+            j = self.head[a] + 1
+        if j <= tail:
+            j = self.second[a] = self.scan(a, other, j, tail)
+        return first, (self.order[a][j] if j <= tail else None)
+
+    def last(self, a: int, other: "_Side") -> int | None:
+        tail, head = self.clamp(a), self.head[a]
+        if tail >= head:
+            tail = self.tail[a] = self.scan(a, other, tail, head, -1)
+        return self.order[a][tail] if tail >= head else None
+
+    def entries(self, a: int, other: "_Side") -> list[int]:
+        """``a``'s list, best first."""
+        first = self.first(a, other)
+        if first is None:
+            return []
+        return [first] + [b for b in self.order[a][self.head[a] + 1:self.tail[a] + 1]
+                          if self.holds(a, b) and other.holds(b, a)]
+
+
 class WorkingInstance:
-    """Each agent's surviving entries, best first, as one insertion-ordered
-    dict, with delete(man, woman) on both sides at once.  Ranks are read from
-    the originating instance, which deletion never changes.  ``engaged[side]``
-    holds that side's engagements from its last proposal pass: each
-    proposer's acceptor and each acceptor's proposer, or None."""
+    """The pipeline's working lists, held as monotone bounds over the
+    instance's own rows; no list is stored.
+
+    ``sides[0]`` is the men and ``sides[1]`` the women.  Agent ``a``'s list
+    is its row's ``order`` less what was dropped, and every drop is a bound
+    on ``a``'s ranks that never moves back:
+
+    - ``lo[a]``, a head bound: entries ranked better than ``lo`` are gone (a
+      proposer rejected on a tie, or a rotation's pair);
+    - ``hi[a]``, a tail bar: entries ranked ``hi`` or worse are gone (an
+      acceptor cutting below a new fiance);
+    - ``kept[a]``: the one entry of rank ``hi`` that round one's tie sweep
+      kept, or -1.
+
+    A pair is alive when both agents' bounds admit it.  ``head``, ``second``
+    and ``tail`` are cursors into ``order``: every entry before ``head``,
+    strictly between ``head`` and ``second``, or after ``tail`` is dead, so
+    the cursors only move inward and reading an agent's first, second or
+    last entry costs O(n) over the whole pipeline.  ``men_lists``,
+    ``women_lists`` and ``pair_set()`` are built from the bounds when read.
+
+    ``engaged[side]`` holds that side's engagements from its last proposal
+    pass: each proposer's acceptor and each acceptor's proposer, or None.
+    Each side's ``moved`` logs its agents whose bounds moved, and
+    ``logged[side]`` holds both logs' lengths when that side's last pass
+    ended.
+    """
 
     def __init__(self, inst: Instance):
         self.inst = inst
-        self.n = inst.n
-        self.men_lists: list[dict[int, None]] = [
-            dict.fromkeys(tl.order) for tl in inst.men
-        ]
-        self.women_lists: list[dict[int, None]] = [
-            dict.fromkeys(tl.order) for tl in inst.women
-        ]
+        n = self.n = inst.n
+        self.sides = (_Side(inst.men, n), _Side(inst.women, n))
         self.engaged: dict[str, tuple[list[int | None], list[int | None]]] = {
-            side: ([None] * self.n, [None] * self.n) for side in ("men", "women")
+            side: ([None] * n, [None] * n) for side in ("men", "women")
         }
+        self.logged = {"men": (0, 0), "women": (0, 0)}
+        # find_exposed_rotation's scan for its start: every man below
+        # ``start`` had one entry, ``singles`` maps each such entry to its
+        # men, and ``scanned`` holds both logs' lengths at the last scan
+        self.start = 0
+        self.singles: dict[int, list[int]] = {}
+        self.scanned = (0, 0)
+
+    def alive(self, s: int, a: int, b: int) -> bool:
+        """Whether ``a`` of side ``s`` and ``b`` still hold each other."""
+        return self.sides[s].holds(a, b) and self.sides[1 - s].holds(b, a)
+
+    @property
+    def men_lists(self) -> list[list[int]]:
+        men, women = self.sides
+        return [men.entries(m, women) for m in range(self.n)]
+
+    @property
+    def women_lists(self) -> list[list[int]]:
+        men, women = self.sides
+        return [women.entries(w, men) for w in range(self.n)]
 
     def delete(self, man: int, woman: int) -> None:
-        del self.men_lists[man][woman]
-        del self.women_lists[woman][man]
+        """Drop ``woman`` from the head of ``man``'s list: she must be his
+        first entry, and no other entry may tie with her."""
+        men, women = self.sides
+        if men.first(man, women) != woman:
+            raise ValueError(f"woman {woman + 1} is not first on man {man + 1}'s list")
+        rank = men.rank[man]
+        if not men.strict[man]:
+            _, nxt = men.top_two(man, women)
+            if nxt is not None and rank[nxt] == rank[woman]:
+                raise ValueError(f"man {man + 1} ties woman {woman + 1} with another")
+        men.lo[man] = rank[woman] + 1
+        # the entries up to the second cursor are dead too
+        men.head[man] = max(men.head[man] + 1, men.second[man])
+        men.moved.append(man)
 
     def side_is_strict(self, side: str) -> bool:
-        # deletion keeps a strict row strict, so only tied rows are scanned
-        lists, rows, *_ = _sides(self, side)
-        return all(
-            tl.is_strict or len({tl.rank[x] for x in entries}) == len(entries)
-            for entries, tl in zip(lists, rows)
-        )
+        s = _side(side)
+        return all(strict or self._tie_free(s, a)
+                   for a, strict in enumerate(self.sides[s].strict))
+
+    def _tie_free(self, s: int, a: int) -> bool:
+        # ranks are tier indices and no tier is empty, so the tiers in
+        # [lo, hi) are all singletons when that many entries hold them;
+        # kept is alone at rank hi
+        me = self.sides[s]
+        order, rank, lo = me.order[a], me.rank[a], me.lo[a]
+        hi = min(me.hi[a], rank[order[-1]] + 1)
+        if hi <= lo or (bisect_left(order, hi, key=rank.__getitem__)
+                        - bisect_left(order, lo, key=rank.__getitem__) == hi - lo):
+            return True
+        ranks = [rank[b] for b in me.entries(a, self.sides[1 - s])]
+        return len(set(ranks)) == len(ranks)
 
     def pair_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(
@@ -304,61 +460,93 @@ class WorkingInstance:
         )
 
 
-def _sides(work: WorkingInstance, side: str):
-    """The lists and instance rows of ``side``, then the lists and rank rows
-    of the other side, and a delete that takes an agent of ``side`` first."""
-    inst = work.inst
-    if side == "men":
-        return (work.men_lists, inst.men, work.women_lists, inst.women_rank,
-                work.delete)
-    if side == "women":
-        return (work.women_lists, inst.women, work.men_lists, inst.men_rank,
-                lambda w, m: work.delete(m, w))
-    raise ValueError(f"unknown side {side!r}")
-
-
 # ---------------------------------------------------------------------------
 # Deletion pipeline for one-sided bottom ties
 # ---------------------------------------------------------------------------
 
-def _resume_proposals(work: WorkingInstance, side: str) -> None:
-    """The proposal loop of ``propose_with``, resumed from the engagements
-    ``work.engaged[side]`` of an earlier pass on the same lists.
-
-    Only agents with no engagement, or whose engagement pair has been deleted
-    since, propose.  Deletion only shrinks lists, so a surviving engagement
-    still has nothing worse than the fiance on the acceptor's list.
-    """
-    lists, _, acceptor_lists, acceptor_rank, delete = _sides(work, side)
+def _proposals(work: WorkingInstance, side: str, free: Iterable[int]) -> None:
+    """The proposal loop of ``propose_with`` for the agents in ``free``,
+    from the engagements in ``work.engaged[side]``."""
+    s = _side(side)
+    me, other = work.sides[s], work.sides[1 - s]
+    orders, ranks, los, his, kepts, head, second, tail = (
+        me.order, me.rank, me.lo, me.hi, me.kept, me.head, me.second, me.tail)
+    acceptor_rank, alo, ahi, akept = other.rank, other.lo, other.hi, other.kept
+    aorder, astrict, atail, clamped = other.order, other.strict, other.tail, other.clamped
     fiancee, fiance = work.engaged[side]
-    for a, b in enumerate(fiancee):
-        if b is not None and b not in lists[a]:
-            fiancee[a] = fiance[b] = None
-    free = deque(a for a, b in enumerate(fiancee) if b is None)
+    free = deque(free)
     while free:
         a = free.popleft()
-        if not lists[a]:
+        order, rank, lo, hi, kept = orders[a], ranks[a], los[a], his[a], kepts[a]
+        # a's first entry: the first that both a and the acceptor still hold
+        i, end = head[a], tail[a]
+        while i <= end:
+            b = order[i]
+            y, bar = acceptor_rank[b][a], ahi[b]
+            if y <= bar and (y < bar or a == akept[b]) and alo[b] <= y:
+                x = rank[b]
+                if lo <= x and (x < hi or x == hi and b == kept):
+                    break
+            i += 1
+        head[a] = i
+        if i > end:
             raise DegenerateInstanceError(
                 f"proposing agent {a + 1} on the {side} side ran out of candidates"
             )
-        b = next(iter(lists[a]))
-        rank = acceptor_rank[b]
         p = fiance[b]
-        if p is not None and rank[p] == rank[a]:
-            delete(a, b)
+        if p is not None and acceptor_rank[b][p] == y:
+            # a tie: a drops b, a pointer step past it (a's list is tie-free)
+            los[a] = x + 1
+            head[a] = max(i + 1, second[a])
+            me.moved.append(a)
             free.append(a)
             continue
-        assert p is None or rank[a] < rank[p]
+        # a is alive on b's list, so a is better than the fiance
         if p is not None:
             fiancee[p] = None
             free.append(p)
         fiance[b] = a
         fiancee[a] = b
-        # b drops every entry it ranks below a, reading its list from the end
-        bar = rank[a]
-        tail = reversed(acceptor_lists[b])
-        for x in list(itertools.takewhile(lambda x: rank[x] > bar, tail)):
-            delete(x, b)
+        # b drops every entry it ranks below a: its bar moves up to a
+        if a != akept[b]:
+            ahi[b] = y + 1
+            akept[b] = -1
+            other.moved.append(b)
+            # While every tier up to y is a singleton, rank is position
+            # there and b's tail cursor moves now; else clamp bisects for it.
+            if astrict[b] or acceptor_rank[b][aorder[b][y + 1]] == y + 1:
+                clamped[b] = y + 1
+                if y < atail[b]:
+                    atail[b] = y
+    work.logged[side] = (len(work.sides[0].moved), len(work.sides[1].moved))
+
+
+def _resume_proposals(work: WorkingInstance, side: str) -> None:
+    """The proposal loop of ``propose_with``, resumed from the engagements
+    ``work.engaged[side]`` left by a pass on the same lists that ended
+    normally, so every agent of ``side`` was engaged.
+
+    Only agents whose engagement pair has been deleted since propose.
+    Deletion only shrinks lists, so a surviving engagement still has nothing
+    worse than the fiance on the acceptor's list.  A pair dies only when a
+    bound of one of its agents moves, so only the agents the sides' ``moved``
+    logs name since that pass are rechecked.
+    """
+    s = _side(side)
+    fiancee, fiance = work.engaged[side]
+    since = work.logged[side]
+    free = set()
+    for a in set(work.sides[s].moved[since[s]:]):
+        b = fiancee[a]
+        if b is not None and not work.alive(s, a, b):
+            fiancee[a] = fiance[b] = None
+            free.add(a)
+    for b in set(work.sides[1 - s].moved[since[1 - s]:]):
+        a = fiance[b]
+        if a is not None and not work.alive(s, a, b):
+            fiancee[a] = fiance[b] = None
+            free.add(a)
+    _proposals(work, side, sorted(free))
 
 
 def propose_with(work: WorkingInstance, side: str) -> WorkingInstance:
@@ -377,17 +565,25 @@ def propose_with(work: WorkingInstance, side: str) -> WorkingInstance:
     if not work.side_is_strict(side):
         raise PreconditionError(f"{side} still have ties; cannot propose")
     work.engaged[side] = ([None] * work.n, [None] * work.n)
-    _resume_proposals(work, side)
+    _proposals(work, side, range(work.n))
     # Tie sweep: a woman's surviving tie can only contain her fiance's
-    # tier-mates; one pass removes them all.
+    # tier-mates.  After a men's pass each man's first woman is his fiancee,
+    # whose bar sits just below him, so the sweep lowers her bar onto his
+    # tier and keeps him; after a women's pass there are no ties to sweep.
+    men, women = work.sides
     for m in range(work.n):
-        if not work.men_lists[m]:
+        w = men.first(m, women)
+        if w is None:
             raise DegenerateInstanceError(f"man {m + 1} ran out of candidates")
-        w = next(iter(work.men_lists[m]))
-        wr = work.inst.women_rank[w]
-        tied = [m2 for m2 in work.women_lists[w] if m2 != m and wr[m2] == wr[m]]
-        for m2 in tied:
-            work.delete(m2, w)
+        rank = women.rank[w]
+        tier = rank[m]
+        if women.kept[w] < 0 and tier == women.hi[w] - 1:
+            women.hi[w], women.kept[w] = tier, m
+            women.moved.append(w)
+            # nothing after m on her row is left
+            order = women.order[w]
+            end = order.index(m, bisect_left(order, tier, key=rank.__getitem__))
+            women.tail[w] = min(women.tail[w], end)
     return work
 
 
@@ -400,34 +596,49 @@ def find_exposed_rotation(work: WorkingInstance) -> list[tuple[int, int]] | None
     first and w_{i+1} second on m_i's list.  Returns None iff every list is a
     singleton.
     """
-    start = None
-    for m, entries in enumerate(work.men_lists):
-        if not entries:
+    # A man below work.start keeps his one entry until its pair dies, which
+    # moves a bound of his or of his woman's; the logs name both.
+    men, women = work.sides
+    suspects = {m for m in men.moved[work.scanned[0]:] if m < work.start}
+    for w in set(women.moved[work.scanned[1]:]):
+        suspects.update(work.singles.get(w, ()))
+    for m in sorted(suspects):
+        if men.first(m, women) is None:
             raise DegenerateInstanceError(f"man {m + 1} ran out of candidates")
-        if len(entries) >= 2:
+    start = None
+    for m in range(work.start, work.n):
+        first, second = men.top_two(m, women)
+        if first is None:
+            raise DegenerateInstanceError(f"man {m + 1} ran out of candidates")
+        if second is not None:
             start = m
             break
+        work.singles.setdefault(first, []).append(m)
+        work.start = m + 1
+    work.scanned = (len(men.moved), len(women.moved))
     if start is None:
         return None
 
-    seen: dict[int, int] = {}
+    top: dict[int, tuple[int | None, int | None]] = {}
     walk: list[int] = []
     m = start
-    while m not in seen:
-        seen[m] = len(walk)
+    while m not in top:
         walk.append(m)
-        entries = work.men_lists[m]
-        if len(entries) < 2:
+        first, second = top[m] = men.top_two(m, women)
+        if second is None:
             raise DegenerateInstanceError(
                 f"man {m + 1} has a singleton list inside a rotation walk"
             )
-        _, second = itertools.islice(entries, 2)
         # m is on the second woman's list, so it is not empty
-        m = next(reversed(work.women_lists[second]))
-    rotation = [(mi, next(iter(work.men_lists[mi]))) for mi in walk[seen[m]:]]
-    for idx, (mi, _) in enumerate(rotation):
-        _, succ_w = itertools.islice(work.men_lists[mi], 2)
-        assert succ_w == rotation[(idx + 1) % len(rotation)][1]
+        m = women.last(second, men)
+    cycle = walk[walk.index(m):]
+    rotation = [(mi, top[mi][0]) for mi in cycle]
+    for mi, (_, succ) in zip(cycle, rotation[1:] + rotation[:1]):
+        if top[mi][1] != succ:
+            raise DegenerateInstanceError(
+                f"man {mi + 1}'s second woman is not first on the next man's "
+                "list: the walk closed on no rotation"
+            )
     return rotation
 
 
@@ -508,8 +719,9 @@ def deletion_stages(inst: Instance) -> Iterator[tuple[str, WorkingInstance]]:
     passes, until no rotation remains.  Round one is two ``propose_with``
     passes; after that each side's passes resume its engagements
     (``work.engaged``) from its previous pass, so their total cost is the
-    deletions.  Later steps change the yielded lists in place.  The
-    precondition is checked on the first ``next``.
+    bounds they move.  Later steps change the yielded working instance in
+    place; read its lists at each stage.  The precondition is checked on
+    the first ``next``.
     """
     if not validate_one_sided_top_truncated(inst):
         raise PreconditionError(
@@ -550,10 +762,11 @@ def min_delete_approx(inst: Instance) -> SolveReport:
     """
     for _, work in deletion_stages(inst):
         pass
-    # Deletion is symmetric, so singleton men's lists that form a perfect
-    # matching leave every woman's list holding just her partner.
+    # A pair lives on both agents' lists, so singleton men's lists that form
+    # a perfect matching leave every woman's list holding just her partner.
     matching = Matching(work.pair_set())
-    assert matching.is_perfect(inst.n)
+    if not matching.is_perfect(inst.n):
+        raise DegenerateInstanceError("the final lists are not a perfect matching")
 
     report = SolveReport.build(inst, matching, "algo1")
     cover_men, cover_women = min_vertex_cover_bipartite(report.super_blocking_pairs)

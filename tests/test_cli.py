@@ -531,6 +531,8 @@ def test_bench_scale_suite_records_each_phase(tmp_path, monkeypatch):
         assert record["report_sha256"] == hashlib.sha256(text.encode()).hexdigest()[:16]
         phases = [record[k] for k in ("parse_ms", "solve_ms", "serialize_ms")]
         assert min(phases) > 0 and record["certify_ms"] > 0
+        for phase in cli.SCALE_PHASES:
+            assert record[f"{phase}_min"] <= record[phase] <= record[f"{phase}_max"]
         # each phase's median is taken apart, so allow the sum some slack
         assert record["end_to_end_ms"] >= 0.5 * sum(phases)
 

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import minimaxsm
+from minimaxsm import solvers
 from minimaxsm import (
     Instance,
     Matching,
@@ -51,6 +52,7 @@ from minimaxsm.solvers import (
 )
 from minimaxsm.generators import gen_fig1, gen_fig4, gen_random
 
+import dict_pipeline
 from conftest import (
     bottom_tie_market,
     strict,
@@ -473,6 +475,38 @@ def test_rotation_found_and_eliminated():
     assert find_exposed_rotation(work) is None
 
 
+def test_rotation_walk_that_closes_on_no_rotation_raises():
+    # Before any pass the lists are not GS-lists: from man 1 the walk goes to
+    # his second woman, whose last man is man 1 again, but she is not his
+    # first.  The check is a raise, so it holds under python -O.
+    inst = strict([[0, 1], [0, 1]], [[0, 1], [1, 0]])
+    with pytest.raises(DegenerateInstanceError, match="closed on no rotation"):
+        find_exposed_rotation(WorkingInstance(inst))
+
+
+def test_pipeline_raises_when_its_final_lists_are_not_a_perfect_matching(monkeypatch):
+    inst = strict([[0]], [[0]])
+    emptied = WorkingInstance(inst)
+    emptied.delete(0, 0)
+    monkeypatch.setattr(solvers, "deletion_stages", lambda inst: iter([("start", emptied)]))
+    with pytest.raises(DegenerateInstanceError, match="not a perfect matching"):
+        min_delete_approx(inst)
+
+
+def test_delete_takes_a_mans_first_entry_only():
+    inst = tiered(men=[[[0, 1], [2]]] * 3, women=[[[0], [1], [2]]] * 3)
+    work = WorkingInstance(inst)
+    with pytest.raises(ValueError, match="woman 3 is not first on man 1's list"):
+        work.delete(0, 2)
+    # woman 1 ties with woman 2 on man 1's list: a head step would drop both
+    with pytest.raises(ValueError, match="man 1 ties woman 1 with another"):
+        work.delete(0, 0)
+    work = WorkingInstance(strict([[1, 0], [0, 1]], [[0, 1], [0, 1]]))
+    work.delete(0, 1)
+    assert work.men_lists == [[0], [0, 1]]
+    assert work.women_lists == [[0, 1], [1]]
+
+
 # ---------------------------------------------------------------------------
 # vertex cover
 # ---------------------------------------------------------------------------
@@ -638,6 +672,99 @@ def test_deletion_stages_match_restarted_passes_top_truncated():
             inst = gen_random(n, Fraction(1, 2), seed=seed, top_truncated=True)
             assert _snapshots(deletion_stages(inst)) == _snapshots(
                 _restarted_stages(inst)), (n, seed)
+
+
+def _full_snapshots(stages):
+    """Each stage's label, surviving pairs, both sides' lists in order and
+    whether each side is tie-free, ended by the type of any exception."""
+    out = []
+    try:
+        for label, work in stages:
+            out.append((label, work.pair_set(),
+                        [list(x) for x in work.men_lists],
+                        [list(x) for x in work.women_lists],
+                        work.side_is_strict("men"), work.side_is_strict("women")))
+    except Exception as exc:
+        out.append(type(exc))
+    return out
+
+
+def _matches_dict_pipeline(inst):
+    """The bounds-based pipeline against the dict-based one it replaced."""
+    assert _full_snapshots(deletion_stages(inst)) == _full_snapshots(
+        dict_pipeline.deletion_stages(inst))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_deletion_stages_match_the_dict_pipeline(n):
+    for seed in range(400):
+        _matches_dict_pipeline(bottom_tie_market(n, random.Random(seed)))
+
+
+def test_deletion_stages_match_the_dict_pipeline_top_truncated_and_fig4(
+        top_truncated_corpus):
+    markets = list(top_truncated_corpus)
+    markets += [
+        gen_random(n, Fraction(1, 2), seed=seed, top_truncated=True)
+        for n in (2, 3, 4, 5, 8, 13, 21, 40) for seed in range(10)
+    ]
+    markets += [gen_fig4(n, Fraction(1, 4))[0] for n in (8, 16, 40)]
+    for inst in markets:
+        _matches_dict_pipeline(inst)
+
+
+def _apply(op, work, api):
+    """One step of a random call sequence on either implementation."""
+    propose, find, eliminate = api
+    if op in ("men", "women"):
+        propose(work, op)
+    elif op == "rotation":
+        rotation = find(work)
+        if rotation is not None:
+            eliminate(work, rotation)
+    else:
+        lists = [list(x) for x in work.men_lists]
+        m = op % work.n
+        if lists[m]:
+            work.delete(m, lists[m][0])
+
+
+def test_working_lists_match_the_dict_ones_under_any_call_order():
+    """Passes, rotations and head deletions in random order, on markets
+    where the men are strict and the women tie anywhere or nowhere."""
+    new_api = (propose_with, find_exposed_rotation, eliminate_rotation)
+    old_api = (dict_pipeline.propose_with, dict_pipeline.find_exposed_rotation,
+               dict_pipeline.eliminate_rotation)
+    rng = random.Random(5)
+    for trial in range(600):
+        n = rng.randint(1, 6)
+        if trial % 3 == 0:
+            inst = bottom_tie_market(n, rng)
+        else:
+            men = [TierList.from_order(rng.sample(range(n), n)) for _ in range(n)]
+            women = [tied_order(rng, rng.sample(range(n), n), 0.4 * (trial % 3 - 1))
+                     for _ in range(n)]
+            inst = Instance(men, women)
+        ops = [rng.choice(["men", "women", "rotation", rng.randrange(n)])
+               for _ in range(6)]
+        new, old = WorkingInstance(inst), dict_pipeline.DictWorkingInstance(inst)
+        for op in ops:
+            outcomes = []
+            for work, api in ((new, new_api), (old, old_api)):
+                try:
+                    _apply(op, work, api)
+                    outcomes.append(_full_snapshots([("", work)]))
+                except (PreconditionError, DegenerateInstanceError) as exc:
+                    outcomes.append((type(exc), str(exc)))
+                except AssertionError:
+                    # the dict version checked a rotation's cycle with assert
+                    outcomes.append((DegenerateInstanceError, "no rotation"))
+            if outcomes[1] == (DegenerateInstanceError, "no rotation"):
+                assert "closed on no rotation" in outcomes[0][1]
+                break
+            assert outcomes[0] == outcomes[1], (trial, ops, op)
+            if isinstance(outcomes[0], tuple):
+                break
 
 
 def test_pipeline_ends_on_the_woman_optimal_matching_of_round_one():
